@@ -19,7 +19,9 @@ let run () =
   let compiled = compile (Core.Kernels.publication ~n) in
   let run_once ~attach =
     let m = Core.Toolchain.machine ~config:Xmtsim.Config.fpga64 compiled in
-    let rd = if attach then Some (Xmtsim.Machine.attach_racecheck m) else None in
+    let rd = Xmtsim.Racedetect.create () in
+    if attach then
+      ignore (Xmtsim.Machine.attach m (Xmtsim.Racedetect.probe m rd) : unit -> unit);
     let r, secs = wall (fun () -> Xmtsim.Machine.run m) in
     (m, r, rd, secs)
   in
@@ -34,7 +36,6 @@ let run () =
   in
   let m_off, r_off, _, secs_off = best ~attach:false in
   let m_on, r_on, rd, secs_on = best ~attach:true in
-  let rd = Option.get rd in
   let cycles_off = Xmtsim.Machine.cycles m_off in
   let cycles_on = Xmtsim.Machine.cycles m_on in
   let events = Xmtsim.Machine.events_processed m_off in

@@ -45,7 +45,7 @@ let run_unmanaged () =
       (Xmtsim.Power.component_names power)
   in
   let samples = ref [] in
-  Xmtsim.Machine.add_activity_plugin m ~name:"mgr" ~interval (fun _ cycle ->
+  Xmtsim.Machine.add_activity_plugin m ~interval (fun _ cycle ->
       let w = Xmtsim.Power.sample power in
       Xmtsim.Thermal.step thermal ~dt:(float_of_int interval /. 1e9) w;
       let tmax = Xmtsim.Thermal.max_temperature thermal in

@@ -11,6 +11,9 @@ let read_file path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_all ic)
 
+(* exit code of a run whose simulated program faulted *)
+let fault_exit = 4
+
 (* -------- campaign mode (--campaign FILE.json --jobs N) -------- *)
 
 let run_campaign_cmd ~file ~jobs ~retries ~export ~stream_sink =
@@ -358,11 +361,32 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
     if governor then reject "--governor";
     if stream_sink <> None then reject "--stream"
   in
+  (* a fault of the simulated program is a diagnostic with its own exit
+     code, not a crash *)
+  let simulate f =
+    try f () with
+    | Xmtsim.Funcmodel.Fault { tcu; pc; msg } ->
+      let who =
+        if tcu < 0 then "MTCU"
+        else Printf.sprintf "%s %d" (if mode = `Cycle then "TCU" else "thread") tcu
+      in
+      let loc =
+        match image.Isa.Program.locs.(pc) with
+        | Some (line, _) when driver_out <> None -> Printf.sprintf " (%s:%d)" input line
+        | Some (line, fn) -> Printf.sprintf " (line %d, in %s)" line fn
+        | None | (exception Invalid_argument _) -> ""
+      in
+      Printf.eprintf "xmtsim: simulation fault: %s, pc %d%s: %s\n" who pc loc msg;
+      exit fault_exit
+    | Xmtsim.Machine.Sim_error msg | Xmtsim.Functional_mode.Exec_error msg ->
+      Printf.eprintf "xmtsim: simulation fault: %s\n" msg;
+      exit fault_exit
+  in
   match mode with
   | `Functional -> begin
     reject_cycle_sinks ~drop:"--functional";
     let host_t0 = Unix.gettimeofday () in
-    let r = Xmtsim.Functional_mode.run image in
+    let r = simulate (fun () -> Xmtsim.Functional_mode.run image) in
     let host_secs = Unix.gettimeofday () -. host_t0 in
     print_string r.Xmtsim.Functional_mode.output;
     if String.length r.Xmtsim.Functional_mode.output > 0 then print_newline ();
@@ -420,7 +444,7 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
     in
     let rp = Xmtsim.Reuseprofile.create () in
     let host_t0 = Unix.gettimeofday () in
-    let r = Xmtsim.Functional_mode.run ~profile:rp image in
+    let r = simulate (fun () -> Xmtsim.Functional_mode.run ~profile:rp image) in
     let host_secs = Unix.gettimeofday () -. host_t0 in
     let snap = Xmtsim.Reuseprofile.snapshot rp in
     let pred =
@@ -486,20 +510,40 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
     end
   end
   | `Cycle -> begin
-    let m = Xmtsim.Machine.create ~config image in
+    let m = simulate (fun () -> Xmtsim.Machine.create ~config image) in
     if no_clock_gating then Xmtsim.Machine.set_gating m false;
-    let racedet =
-      if racecheck then Some (Xmtsim.Machine.attach_racecheck m) else None
+    let observe probe = ignore (Xmtsim.Machine.attach m probe : unit -> unit) in
+    (* [Some x] with x's probe attached when [wanted], else [None] *)
+    let observer wanted create probe =
+      if wanted then begin
+        let x = create () in
+        observe (probe x);
+        Some x
+      end
+      else None
     in
-    if profile_requested then
-      ignore (Xmtsim.Machine.attach_profile m : Xmtsim.Profile.t);
-    let stream =
-      match stream_sink with
+    let racedet =
+      observer racecheck Xmtsim.Racedetect.create (Xmtsim.Racedetect.probe m)
+    in
+    let series =
+      match timeseries_json with
       | None -> None
-      | Some sink ->
-        let s = Obs.Stream.create (Obs.Stream.sink_of_path sink) in
-        Xmtsim.Machine.attach_stream ~heartbeat_cycles m s;
-        Some s
+      | Some _ -> Some (Obs.Timeseries.create ~window:4096 ())
+    in
+    (* the CPI stacks also feed the interval profiler, which the trace and
+       timeseries get as activity counter tracks even without an explicit
+       profile interval *)
+    let prof =
+      observer
+        (profile_requested || profile_interval > 0 || trace_json <> None
+       || series <> None)
+        (fun () -> Xmtsim.Profile.create m)
+        Xmtsim.Profile.probe
+    in
+    let stream =
+      observer (stream_sink <> None)
+        (fun () -> Obs.Stream.create (Obs.Stream.sink_of_path (Option.get stream_sink)))
+        (Xmtsim.Heartbeat.probe ~heartbeat_cycles m)
     in
     (match checkpoint_in with
     | Some p -> Xmtsim.Machine.restore m (Xmtsim.Machine.snapshot_of_file p)
@@ -510,34 +554,24 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
         m print_string;
     if trace_packages then
       Xmtsim.Trace.attach_packages ~limit:trace_limit m print_string;
-    if hot then
-      Xmtsim.Machine.add_filter_plugin m (Xmtsim.Plugin.hot_locations ~top:10 ());
-    let tracer =
-      match trace_json with
-      | None -> None
-      | Some _ ->
-        let tr = Obs.Tracer.create () in
-        Xmtsim.Machine.attach_tracer m tr;
-        Some tr
-    in
-    let series =
-      match timeseries_json with
-      | None -> None
-      | Some _ -> Some (Obs.Timeseries.create ~window:4096 ())
+    let filters = if hot then [ Xmtsim.Plugin.hot_locations ~top:10 () ] else [] in
+    List.iter (fun f -> observe (Xmtsim.Plugin.probe f)) filters;
+    let spans =
+      observer (trace_json <> None)
+        (fun () -> Xmtsim.Trace.spans m (Obs.Tracer.create ()))
+        Xmtsim.Trace.span_probe
     in
     let gov =
       if governor then
-        Some (Xmtsim.Governor.attach ?series ~interval:governor_interval m)
+        Some (Xmtsim.Governor.attach ?series ?tracer:spans ~interval:governor_interval m)
       else None
     in
     let profiler =
-      if profile_interval > 0 then
-        Some (Xmtsim.Profiler.attach ~interval:profile_interval m)
-      else if tracer <> None || series <> None then
-        (* the trace and timeseries get activity counter tracks even
-           without an explicit profile interval *)
-        Some (Xmtsim.Profiler.attach ~interval:1000 m)
-      else None
+      match prof with
+      | Some p when profile_interval > 0 || spans <> None || series <> None ->
+        let interval = if profile_interval > 0 then profile_interval else 1000 in
+        Some (Xmtsim.Plugin.attach_profiler ~interval m p)
+      | _ -> None
     in
     let power =
       if power_interval > 0 then begin
@@ -547,7 +581,7 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
             ~grid_w:(int_of_float (sqrt (float_of_int config.Xmtsim.Config.num_clusters)))
             (Xmtsim.Power.component_names p)
         in
-        Xmtsim.Machine.add_activity_plugin m ~name:"power" ~interval:power_interval
+        Xmtsim.Machine.add_activity_plugin m ~interval:power_interval
           (fun m cycle ->
             let watts = Xmtsim.Power.sample p in
             Xmtsim.Thermal.step th
@@ -566,8 +600,9 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
        then keep going; the run can be resumed later from the file *)
     (match (checkpoint_at, checkpoint_out) with
     | Some cycle, Some path ->
-      ignore (Xmtsim.Machine.run ~max_cycles:cycle m);
-      Xmtsim.Machine.run_to_quiescent m;
+      simulate (fun () ->
+          ignore (Xmtsim.Machine.run ~max_cycles:cycle m);
+          Xmtsim.Machine.run_to_quiescent m);
       Xmtsim.Machine.snapshot_to_file (Xmtsim.Machine.checkpoint m) path;
       Printf.printf "checkpoint at cycle %d written to %s\n"
         (Xmtsim.Machine.cycles m) path
@@ -575,7 +610,7 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
       Printf.eprintf "xmtsim: --checkpoint-at needs --checkpoint-out\n";
       exit 1
     | None, _ -> ());
-    let r = Xmtsim.Machine.run ?max_cycles m in
+    let r = simulate (fun () -> Xmtsim.Machine.run ?max_cycles m) in
     let host_secs = Unix.gettimeofday () -. host_t0 in
     print_string r.Xmtsim.Machine.output;
     if String.length r.Xmtsim.Machine.output > 0 then print_newline ();
@@ -598,8 +633,9 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
     (* the CPI stacks are reported only when asked for — the profiler may
        also be attached as the interval profiler's event source *)
     (if profile_requested then
-       match Xmtsim.Machine.profile_report m with
-       | Some rp ->
+       match prof with
+       | Some p ->
+         let rp = Xmtsim.Profile.report p in
          if cpi_profile then begin
            print_endline "---- CPI stacks ----";
            print_string (Xmtsim.Profile.render rp);
@@ -667,9 +703,9 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
         | j, _ -> j
       in
       Obs.Json.write_path ~pretty:true path j);
-    (match (trace_json, tracer) with
+    (match (trace_json, Option.map Xmtsim.Trace.tracer spans) with
     | Some path, Some tr ->
-      Xmtsim.Machine.flush_tracer m;
+      Option.iter Xmtsim.Trace.flush_spans spans;
       (* profile samples become a counter track *)
       (match profiler with
       | Some p ->
@@ -754,8 +790,10 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
           dropped
     | None -> ());
     List.iter
-      (fun (name, report) -> Printf.printf "---- plugin %s ----\n%s\n" name report)
-      (Xmtsim.Machine.filter_reports m);
+      (fun f ->
+        Printf.printf "---- plugin %s ----\n%s\n" f.Xmtsim.Plugin.f_name
+          (f.Xmtsim.Plugin.f_report ()))
+      filters;
     match (floorplan, power) with
     | true, Some (_, th) ->
       let temps = Xmtsim.Thermal.temperatures th in
@@ -801,8 +839,15 @@ let overrides =
 
 let cmd =
   let doc = "simulate an XMT program (cycle-accurate or functional)" in
+  let exits =
+    Cmd.Exit.info fault_exit
+      ~doc:"when the simulated program faults (e.g. an out-of-range access); \
+            the diagnostic names the TCU, the pc and, for XMTC input, the \
+            source line."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "xmtsim" ~doc)
+    (Cmd.info "xmtsim" ~doc ~exits)
     Term.(
       const run_cmd $ input $ preset $ overrides
       $ Arg.(value & flag & info [ "functional" ]

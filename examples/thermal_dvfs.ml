@@ -34,8 +34,7 @@ let run ~throttle =
   in
   let throttled = ref false in
   let log = ref [] in
-  Xmtsim.Machine.add_activity_plugin m ~name:"thermal-manager"
-    ~interval:sample_every (fun m cycle ->
+  Xmtsim.Machine.add_activity_plugin m ~interval:sample_every (fun m cycle ->
       let watts = Xmtsim.Power.sample power in
       Xmtsim.Thermal.step thermal
         ~dt:(float_of_int sample_every /. 1e9)

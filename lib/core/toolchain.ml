@@ -114,11 +114,12 @@ let races_report ?dynamic compiled =
 let run_cycle ?config ?(racecheck = false) ?(profile = false) ?stream
     ?heartbeat_cycles ?max_cycles compiled =
   let m = Xmtsim.Machine.create ?config compiled.image in
-  let rd = if racecheck then Some (Xmtsim.Machine.attach_racecheck m) else None in
-  if profile then ignore (Xmtsim.Machine.attach_profile m : Xmtsim.Profile.t);
-  (match stream with
-  | Some s -> Xmtsim.Machine.attach_stream ?heartbeat_cycles m s
-  | None -> ());
+  let observe probe = ignore (Xmtsim.Machine.attach m probe : unit -> unit) in
+  let rd = if racecheck then Some (Xmtsim.Racedetect.create ()) else None in
+  Option.iter (fun rd -> observe (Xmtsim.Racedetect.probe m rd)) rd;
+  let prof = if profile then Some (Xmtsim.Profile.create m) else None in
+  Option.iter (fun p -> observe (Xmtsim.Profile.probe p)) prof;
+  Option.iter (fun s -> observe (Xmtsim.Heartbeat.probe ?heartbeat_cycles m s)) stream;
   let r = Xmtsim.Machine.run ?max_cycles m in
   if not r.Xmtsim.Machine.halted then
     raise (Xmtsim.Machine.Sim_error "cycle budget exhausted before halt");
@@ -134,7 +135,7 @@ let run_cycle ?config ?(racecheck = false) ?(profile = false) ?stream
         (fun rd ->
           races_report ~dynamic:(Xmtsim.Racedetect.to_json rd) compiled)
         rd;
-    profile = Option.map Xmtsim.Profile.to_json (Xmtsim.Machine.profile_report m);
+    profile = Option.map (fun p -> Xmtsim.Profile.(to_json (report p))) prof;
     predict = None;
   }
 

@@ -15,8 +15,10 @@ let to_int = function
   | Int x -> x
   | Flt f -> raise (Type_error (Printf.sprintf "expected int, got float %g" f))
 
+(* an all-zero word (e.g. an auto-zeroed cell) is 0.0 in IEEE 754 *)
 let to_flt = function
   | Flt f -> f
+  | Int 0 -> 0.0
   | Int x -> raise (Type_error (Printf.sprintf "expected float, got int %d" x))
 
 let pp ppf = function

@@ -16,6 +16,8 @@ val wrap32 : int -> int
 (** Interpret as integer; raises [Type_error] on a float cell. *)
 val to_int : t -> int
 
+(** Interpret as float; the all-zero word [Int 0] reads as [0.0], any
+    other integer cell raises [Type_error]. *)
 val to_flt : t -> float
 
 exception Type_error of string

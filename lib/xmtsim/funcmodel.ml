@@ -13,6 +13,20 @@ exception Runtime_error of { pc : int; msg : string }
 
 let err pc fmt = Printf.ksprintf (fun msg -> raise (Runtime_error { pc; msg })) fmt
 
+exception Fault of { tcu : int; pc : int; msg : string }
+
+let fault ~tcu ~pc = function
+  | Runtime_error { pc; msg } -> Fault { tcu; pc; msg }
+  | Isa.Value.Type_error msg | Mem.Fault msg -> Fault { tcu; pc; msg }
+  | e -> e
+
+let () =
+  Printexc.register_printer (function
+    | Fault { tcu; pc; msg } ->
+      let who = if tcu < 0 then "MTCU" else Printf.sprintf "TCU %d" tcu in
+      Some (Printf.sprintf "simulation fault (%s, pc %d): %s" who pc msg)
+    | _ -> None)
+
 type issue =
   | Done
   | Load of { dst : [ `I of int | `F of int ]; addr : int; ro : bool }

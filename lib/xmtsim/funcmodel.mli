@@ -23,6 +23,16 @@ val copy_regs : src:ctx -> dst:ctx -> unit
 
 exception Runtime_error of { pc : int; msg : string }
 
+(** The simulated program faulted while the instruction at [pc] ran on
+    [tcu]: the TCU in cycle mode, the virtual thread id in functional
+    mode, [-1] for the Master TCU. *)
+exception Fault of { tcu : int; pc : int; msg : string }
+
+(** The {!Fault} for an exception escaping the simulation of the
+    instruction at [pc] on [tcu] ({!Runtime_error}, {!Mem.Fault},
+    {!Isa.Value.Type_error}); any other exception is returned as is. *)
+val fault : tcu:int -> pc:int -> exn -> exn
+
 type issue =
   | Done  (** pure op; registers and pc updated *)
   | Load of { dst : [ `I of int | `F of int ]; addr : int; ro : bool }

@@ -22,6 +22,10 @@ type state = {
   master : F.ctx;
   mutable executed : int;
   mutable st_halted : bool;
+  (* the virtual thread (-1: master) and pc of the instruction in
+     progress, which a fault escaping a step is attributed to *)
+  mutable at_tcu : int;
+  mutable at_pc : int;
   rp : Reuseprofile.t option;  (** reuse-profile harvest (predict mode) *)
 }
 
@@ -59,6 +63,8 @@ let init ?profile img =
     master;
     executed = 0;
     st_halted = false;
+    at_tcu = -1;
+    at_pc = img.Isa.Program.entry;
     rp = profile;
   }
 
@@ -80,6 +86,8 @@ let step ?(on_instr = fun ~pc:_ -> ()) (t : state) =
   in
   let ctx = t.master in
   let pc = ctx.F.pc in
+  t.at_tcu <- -1;
+  t.at_pc <- pc;
   let ins = t.img.Isa.Program.instrs.(pc) in
   t.executed <- t.executed + 1;
   Stats.count_instr t.st_stats ~master:true ins;
@@ -125,12 +133,12 @@ let step ?(on_instr = fun ~pc:_ -> ()) (t : state) =
     F.copy_regs ~src:ctx ~dst:thread;
     thread.F.pc <- spawn_idx + 1;
     let finished = ref false in
+    t.at_tcu <- lo;
     while not !finished do
       let tpc = thread.F.pc in
+      t.at_pc <- tpc;
       if tpc <= spawn_idx || tpc >= join_idx then
-        fail
-          "functional mode: pc %d escaped the spawn region (%d,%d) — block \
-           not broadcast (Fig. 9)"
+        fail "pc %d escaped the spawn region (%d,%d): block not broadcast (Fig. 9)"
           tpc spawn_idx join_idx;
       let tins = t.img.Isa.Program.instrs.(tpc) in
       t.executed <- t.executed + 1;
@@ -160,6 +168,7 @@ let step ?(on_instr = fun ~pc:_ -> ()) (t : state) =
         if dst <> 0 then thread.F.regs.(dst) <- old
       | F.Chkid { id } ->
         if id <= bound then begin
+          t.at_tcu <- id;
           t.st_stats.Stats.virtual_threads <-
             t.st_stats.Stats.virtual_threads + 1;
           (* a fresh virtual thread begins: deal it onto the next vTCU
@@ -193,7 +202,9 @@ let advance ?on_instr t ~budget =
      while (not t.st_halted) && t.executed < target do
        step ?on_instr t
      done
-   with F.Runtime_error { pc; msg } -> fail "runtime error at pc %d: %s" pc msg);
+   with
+   | Exec_error msg -> raise (F.Fault { tcu = t.at_tcu; pc = t.at_pc; msg })
+   | e -> raise (F.fault ~tcu:t.at_tcu ~pc:t.at_pc e));
   if t.st_halted then `Halted else `Paused
 
 let instructions t = t.executed

@@ -21,6 +21,8 @@ type result = {
   stats : Stats.t;  (** instruction counters only; no activity data *)
 }
 
+(** A malformed image or an exhausted instruction budget.  A program
+    fault during execution raises {!Funcmodel.Fault} instead. *)
 exception Exec_error of string
 
 (** [profile] attaches a reuse-profile collector ({!Reuseprofile}): the

@@ -31,6 +31,7 @@ type decision = {
 
 type t = {
   m : Machine.t;
+  tracer : Trace.spans option;
   power : Power.t;
   thermal : Thermal.t;
   interval : int;
@@ -91,10 +92,10 @@ let decide g ~cycle ~temp ~icn_w =
         }
       in
       g.decisions <- d :: g.decisions;
-      match Machine.tracer g.m with
+      match g.tracer with
       | None -> ()
-      | Some tr ->
-        Obs.Tracer.instant tr ~ts:cycle ~tid:(Machine.trace_tid_governor g.m)
+      | Some s ->
+        Obs.Tracer.instant (Trace.tracer s) ~ts:cycle ~tid:(Trace.governor_tid s)
           ~cat:"governor"
           ~args:
             [ ("domain", Obs.Tracer.A_str name);
@@ -126,7 +127,7 @@ let decide g ~cycle ~temp ~icn_w =
 
 let attach ?power_params ?thermal_params ?grid_w ?(window = 64)
     ?(temp_hi = 326.0) ?temp_lo ?(icn_hi = 6.0) ?icn_lo
-    ?(throttle_period = 2) ?series ~interval m =
+    ?(throttle_period = 2) ?series ?tracer ~interval m =
   if interval <= 0 then invalid_arg "Governor.attach: interval must be positive";
   let temp_lo = match temp_lo with Some v -> v | None -> temp_hi -. 2.0 in
   let icn_lo = match icn_lo with Some v -> v | None -> icn_hi /. 2.0 in
@@ -148,6 +149,7 @@ let attach ?power_params ?thermal_params ?grid_w ?(window = 64)
   let g =
     {
       m;
+      tracer;
       power;
       thermal;
       interval;
@@ -170,7 +172,7 @@ let attach ?power_params ?thermal_params ?grid_w ?(window = 64)
       samples = 0;
     }
   in
-  Machine.add_activity_plugin m ~name:"governor" ~interval (fun m cycle ->
+  Machine.add_activity_plugin m ~interval (fun m cycle ->
       let now = Machine.cycles m in
       let watts = Power.sample g.power in
       Thermal.step g.thermal ~dt:(float_of_int g.interval *. 1e-9) watts;

@@ -8,39 +8,30 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Sim_error s)) fmt
 
 type dst = [ `I of int | `F of int ]
 
+type req =
+  | Rload of { dst : dst; ro : bool }
+  | Rpref
+  | Rstore of { value : V.t; nb : bool }
+  | Rpsm of { inc : int; dst : int }
+
 (* Requests travelling cluster -> ICN -> cache module ("packages").
    Each carries the pc of the issuing instruction so every memory-touching
-   event exposes (address, tcu, pc) to plugins and the race detector. *)
-type req =
-  | Rload of { cl : int; tcu : int; dst : dst; ro : bool; pc : int }
-  | Rpref of { cl : int; tcu : int; pc : int }
-  | Rstore of { cl : int; tcu : int; value : V.t; nb : bool; pc : int }
-  | Rpsm of { cl : int; tcu : int; inc : int; dst : int; pc : int }
-
-(* Lifecycle stamps for one request package (simulated time).  Written at
-   each station, read once at reply delivery to feed the per-(cluster,
-   module) latency histograms and (when a span tracer is attached) one
-   "mem-req" span per request. *)
-type lifecycle = {
-  mutable l_born : int;  (** enqueued into the cluster outbox *)
-  mutable l_icn_wait : int;  (** merge-contention delay (from icn_next_free) *)
-  mutable l_arrive : int;  (** dequeued into the cache module's input queue *)
-  mutable l_svc : int;  (** reply handed to the return ICN *)
-  mutable l_mod : int;  (** destination cache module *)
-  mutable l_hit : bool;
+   event exposes (address, tcu, pc) to observers, and the request's
+   lifecycle stamps, written at each station and read at reply delivery by
+   the latency histograms and any attached probe. *)
+type pkg = {
+  addr : int;
+  cl : int;
+  tcu : int;
+  pc : int;
+  req : req;
+  lc : Probe.lifecycle;
 }
 
-type pkg = { addr : int; req : req; lc : lifecycle }
-
-(* Replies travelling back module -> ICN -> cluster; each carries its
-   request's lifecycle so delivery can close the loop. *)
-type reply =
-  | Pload of { tcu : int; dst : dst; v : V.t; ro : bool; addr : int; pc : int }
-  | Ppref of { tcu : int; v : V.t; addr : int; pc : int }
-  | Pack of { tcu : int; nb : bool; addr : int; pc : int }
-  | Ppsm of { tcu : int; dst : int; old : int; addr : int; pc : int }
-
-type reply_env = { rp : reply; r_lc : lifecycle }
+(* A reply travels back module -> ICN -> cluster with its request (and so
+   its lifecycle): [v] is the value read, or a psm's old value; a store's
+   ack carries none. *)
+type reply = { pk : pkg; v : V.t }
 
 type tcu_state =
   | Tidle
@@ -58,9 +49,6 @@ type tcu = {
   mutable st : tcu_state;
   mutable pending : int;
   pbuf : Prefetch_buffer.t;
-  (* observability: span start times (simulated time; -1 = no open span) *)
-  mutable mw_since : int;  (* memory/fence wait *)
-  mutable run_since : int;  (* spawn-activation .. Tdone *)
 }
 
 type cluster = {
@@ -69,21 +57,9 @@ type cluster = {
   mdu : int array;  (* busy-until times per shared unit *)
   fpu : int array;
   outbox : pkg Queue.t;
-  returns : reply_env Queue.t;
+  returns : reply Queue.t;
   rocache : Tags.t;
   mutable rr : int;
-}
-
-(** Cycle-accurate trace events: the stations an instruction/data package
-    travels through (paper Â§III-E, detailed trace level). *)
-type package_event = {
-  pe_time : int;
-  pe_stage : string;
-  pe_kind : string;
-  pe_addr : int;
-  pe_tcu : int;
-  pe_pc : int;  (** issuing instruction; -1 for unattributable (DRAM fill) *)
-  pe_module : int;
 }
 
 type master_state = Mrun | Mstall of int | Mmemwait | Mspawnwait | Mhalted
@@ -106,6 +82,7 @@ type t = {
   clk_cache : Desim.Clock.t;
   clk_dram : Desim.Clock.t;
   memory : Mem.t;
+  read_str : int -> string;  (* [print_str] reads its operand from memory *)
   globals : int array;
   stats : Stats.t;
   out_buf : Buffer.t;
@@ -131,10 +108,8 @@ type t = {
          module accepts one packet per cycle per subtree half; packets from
          different halves may freely invert, packets from the same source
          keep their order (memory-model rule 1). *)
-  mutable filters : Plugin.filter list;
-  mutable tracers : (tcu:int -> pc:int -> Isa.Instr.t -> time:int -> unit) list;
-  mutable pkg_tracers : (package_event -> unit) list;
-  mutable otracer : Obs.Tracer.t option;  (* span tracer (Chrome trace JSON) *)
+  mutable probes : Probe.t list;  (* attached observers, in attach order *)
+  mutable probe : Probe.t option;  (* their composition; None = unobserved *)
   mutable started : bool;
   (* clock gating *)
   mutable gating : bool;
@@ -142,25 +117,10 @@ type t = {
       (* activity plug-ins sample on cluster ticks; cluster gating would
          change their sampling times, so it is disabled when one attaches *)
   mutable dram_fills : int;  (* DRAM line fills in flight *)
-  mutable racedet : Racedetect.t option;  (* shadow-memory race detector *)
-  mutable profile : Profile.t option;  (* CPI-stack cycle accounting *)
-  mutable hb : heartbeat option;  (* live telemetry stream (attach_stream) *)
-}
-
-(* Streaming-heartbeat state: the attached stream plus the previous
-   sample of each windowed quantity (host events, wall-clock, TCU
-   busy/memwait counters), so every heartbeat reports rates over its own
-   window instead of run-to-date averages. *)
-and heartbeat = {
-  hb_stream : Obs.Stream.t;
-  hb_interval : int;  (* cluster cycles between heartbeats *)
-  mutable hb_next : int;  (* next heartbeat cycle (single compare per tick) *)
-  hb_rollup : Obs.Stream.rollup;
-  mutable hb_last_events : int;
-  mutable hb_last_us : int;
-  mutable hb_last_busy : int;
-  mutable hb_last_memwait : int;
-  mutable hb_done : bool;  (* run.done already emitted *)
+  (* the TCU (-1: master) and pc of the operation in progress, which a
+     fault escaping the run is attributed to *)
+  mutable at_tcu : int;
+  mutable at_pc : int;
 }
 
 type result = { output : string; cycles : int; halted : bool }
@@ -224,8 +184,6 @@ let create ?(config = Config.fpga64) img =
                   pbuf =
                     Prefetch_buffer.create ~size:cfg.Config.prefetch_buffer_size
                       ~policy:cfg.Config.prefetch_policy;
-                  mw_since = -1;
-                  run_since = -1;
                 });
           mdu = Array.make (max 1 cfg.Config.mdus_per_cluster) 0;
           fpu = Array.make (max 1 cfg.Config.fpus_per_cluster) 0;
@@ -250,6 +208,7 @@ let create ?(config = Config.fpga64) img =
   in
   let master = F.make_ctx () in
   master.F.pc <- img.Isa.Program.entry;
+  let memory = Mem.load img in
   let stats = Stats.create () in
   stats.Stats.req_lat <-
     Some
@@ -263,7 +222,8 @@ let create ?(config = Config.fpga64) img =
     clk_icn = clk "icn" cfg.Config.icn_period;
     clk_cache = clk "caches" cfg.Config.cache_period;
     clk_dram = clk "dram" cfg.Config.dram_period;
-    memory = Mem.load img;
+    memory;
+    read_str = Mem.read_string memory;
     globals = Array.make Isa.Reg.num_globals 0;
     stats;
     out_buf = Buffer.create 256;
@@ -286,17 +246,14 @@ let create ?(config = Config.fpga64) img =
     icn_next_free =
       Array.init cfg.Config.num_cache_modules (fun _ -> Array.make 2 0);
     cluster_instrs = Array.make cfg.Config.num_clusters 0;
-    filters = [];
-    tracers = [];
-    pkg_tracers = [];
-    otracer = None;
+    probes = [];
+    probe = None;
     started = false;
     gating = true;
     has_plugin = false;
     dram_fills = 0;
-    racedet = None;
-    profile = None;
-    hb = None;
+    at_tcu = -1;
+    at_pc = img.Isa.Program.entry;
   }
 
 (* diagnostic: per-(module,side) send-side backlog in cycles *)
@@ -304,12 +261,11 @@ let icn_backlog t =
   let now = Desim.Scheduler.now t.sched in
   Array.map (fun sides -> Array.map (fun nf -> max 0 (nf - now)) sides) t.icn_next_free
 
-let module_queue_depths t = Array.map (fun m -> Queue.length m.inq) t.modules
-
 (* executed TCU instructions per cluster (for spatial activity/power) *)
 let cluster_activity t = Array.copy t.cluster_instrs
 
 let config t = t.cfg
+let image t = t.img
 let stats t = t.stats
 let output t = Buffer.contents t.out_buf
 let cycles t = Desim.Scheduler.now t.sched
@@ -319,118 +275,47 @@ let globals t = t.globals
 (* host-side throughput: events processed by the desim scheduler *)
 let events_processed t = Desim.Scheduler.events_processed t.sched
 
+(* cluster-clock grid ticks so far, fired or gated away *)
+let grid_ticks t =
+  Desim.Clock.cycles t.clk_cluster + Desim.Clock.skipped_ticks t.clk_cluster
+
 (* ------------------------------------------------------------------ *)
-(* Tracing / plugin fan-out *)
+(* Probe hooks used at several sites; each costs one option check when
+   nothing is attached.  The single-site hooks are written inline. *)
 
-let notify_instr t ~tcu ~pc ins ~addr =
-  List.iter
-    (fun f -> f.Plugin.f_on_instr ~master:(tcu < 0) ~pc ins ~addr)
-    t.filters;
-  List.iter (fun f -> f ~tcu ~pc ins ~time:(Desim.Scheduler.now t.sched)) t.tracers
-
-let pkg_kind = function
+let req_kind = function
   | Rload _ -> "load"
-  | Rpref _ -> "pref"
+  | Rpref -> "pref"
   | Rstore _ -> "store"
   | Rpsm _ -> "psm"
 
-let pkg_tcu = function
-  | Rload { tcu; _ } | Rpref { tcu; _ } | Rstore { tcu; _ } | Rpsm { tcu; _ } ->
-    tcu
-
-let pkg_pc = function
-  | Rload { pc; _ } | Rpref { pc; _ } | Rstore { pc; _ } | Rpsm { pc; _ } -> pc
-
-let emit_pkg t ~stage ~kind ~addr ~tcu ~pc ~m =
-  match t.pkg_tracers with
-  | [] -> ()
-  | tracers ->
-    let ev =
-      {
-        pe_time = Desim.Scheduler.now t.sched;
-        pe_stage = stage;
-        pe_kind = kind;
-        pe_addr = addr;
-        pe_tcu = tcu;
-        pe_pc = pc;
-        pe_module = m;
-      }
-    in
-    List.iter (fun f -> f ev) tracers
-
-(* Race-detector hooks: one option check when detached (zero overhead). *)
-let rd_read t ~tcu ~pc ~addr =
-  match t.racedet with
-  | None -> ()
-  | Some rd ->
-    Racedetect.on_read rd ~tcu ~pc ~addr ~time:(Desim.Scheduler.now t.sched)
-
-let rd_write t ~tcu ~pc ~addr =
-  match t.racedet with
-  | None -> ()
-  | Some rd ->
-    Racedetect.on_write rd ~tcu ~pc ~addr ~time:(Desim.Scheduler.now t.sched)
-
-let rd_sync t ~tcu =
-  match t.racedet with
-  | None -> ()
-  | Some rd -> Racedetect.on_sync rd ~tcu
-
-let rd_release t ~tcu =
-  match t.racedet with
-  | None -> ()
-  | Some rd -> Racedetect.on_release rd ~tcu
-
-(* Profiler hooks: one option check when detached.  The profiler is a
-   passive observer — it never schedules events, wakes clocks or touches
-   machine state, so attaching it cannot perturb cycles, stats or
-   traces.  [prof_flush_mem] closes a TCU's memory-wait episode at reply
-   delivery, translating the request's lifecycle stamps into the
-   ICN / cache-hit / DRAM components (or the whole wait into the
-   prefetch-covered bucket when an in-flight prefetch completed it). *)
-let prof_flush_mem t (u : tcu) (lc : lifecycle) ~pref =
-  match t.profile with
+let station t ~stage pk ~m =
+  match t.probe with
   | None -> ()
   | Some p ->
-    if pref then
-      Profile.flush_memwait p ~tcu:u.tid ~icn:0 ~cache_hit:0 ~dram:0 ~pref:true
-    else begin
-      let now = Desim.Scheduler.now t.sched in
-      let hit_lat = t.cfg.Config.cache_hit_latency * Desim.Clock.period t.clk_cache in
-      let icn = (lc.l_arrive - lc.l_born) + (now - lc.l_svc) in
-      let svc = lc.l_svc - lc.l_arrive in
-      let cache_hit = if lc.l_hit then svc else min hit_lat svc in
-      let dram = svc - cache_hit in
-      Profile.flush_memwait p ~tcu:u.tid ~icn ~cache_hit ~dram ~pref:false
-    end
+    p.Probe.station ~stage ~kind:(req_kind pk.req) ~addr:pk.addr ~tcu:pk.tcu ~pc:pk.pc
+      ~module_:m
 
-let prof_master_stall t b =
-  match t.profile with Some p -> Profile.master_stall_kind p b | None -> ()
+let access t ~tcu ~pc ~addr ~write =
+  match t.probe with None -> () | Some p -> p.Probe.access ~tcu ~pc ~addr ~write
 
-(* ------------------------------------------------------------------ *)
-(* Span tracer (Chrome trace-event JSON, §III-B/E as Perfetto tracks).
-   Track layout on the sim process: master TCU = tid 0, TCU i = tid i+1,
-   one extra "memory" track for unattributable package events. *)
+let sync t ~tcu = match t.probe with None -> () | Some p -> p.Probe.sync ~tcu
+let release t ~tcu = match t.probe with None -> () | Some p -> p.Probe.release ~tcu
 
-let trace_tid_of_tcu tcu = tcu + 1
+let stall t (u : tcu) s ~ticks =
+  match t.probe with
+  | None -> ()
+  | Some p -> p.Probe.stall ~tcu:u.tid ~pc:u.ctx.F.pc s ~ticks
 
-let trace_tid_memory t =
-  (t.cfg.Config.num_clusters * t.cfg.Config.tcus_per_cluster) + 1
+(* Park a TCU on the reply to its memory instruction at [pc], or on its
+   fence.  The wait is reported once; the reply that resumes the TCU, or
+   the fence's release, ends it. *)
+let park t (u : tcu) st s ~pc =
+  u.st <- st;
+  match t.probe with None -> () | Some p -> p.Probe.stall ~tcu:u.tid ~pc s ~ticks:0
 
-(* dedicated track for runtime-control (DVFS governor) decisions *)
-let trace_tid_governor t = trace_tid_memory t + 1
-
-let close_memwait_span t tr (u : tcu) =
-  let now = Desim.Scheduler.now t.sched in
-  Obs.Tracer.complete tr ~ts:u.mw_since ~dur:(now - u.mw_since)
-    ~tid:(trace_tid_of_tcu u.tid) ~cat:"tcu" "memwait";
-  u.mw_since <- -1
-
-let close_run_span t tr (u : tcu) =
-  let now = Desim.Scheduler.now t.sched in
-  Obs.Tracer.complete tr ~ts:u.run_since ~dur:(now - u.run_since)
-    ~tid:(trace_tid_of_tcu u.tid) ~cat:"tcu" "tcu-run";
-  u.run_since <- -1
+let master_stall t ~pc s ~ticks =
+  match t.probe with None -> () | Some p -> p.Probe.stall ~tcu:(-1) ~pc s ~ticks
 
 (* ------------------------------------------------------------------ *)
 (* ICN transport: event-per-package with per-(cluster,module) jitter that
@@ -438,9 +323,12 @@ let close_run_span t tr (u : tcu) =
    rule 1: static routing keeps per-pair order). *)
 
 (* Build a request package, stamping its birth (outbox-enqueue) time. *)
-let mk_pkg t addr req =
+let mk_pkg t (u : tcu) ~pc addr req =
   {
     addr;
+    cl = u.tcl;
+    tcu = u.tid;
+    pc;
     req;
     lc =
       {
@@ -453,7 +341,8 @@ let mk_pkg t addr req =
       };
   }
 
-let icn_send t ~cl pk =
+let icn_send t pk =
+  let cl = pk.cl in
   let m = hash_addr t.cfg pk.addr in
   let now = Desim.Scheduler.now t.sched in
   let side = if cl < Array.length t.clusters / 2 then 0 else 1 in
@@ -466,28 +355,27 @@ let icn_send t ~cl pk =
   t.stats.Stats.icn_packets <- t.stats.Stats.icn_packets + 1;
   pk.lc.l_mod <- m;
   pk.lc.l_icn_wait <- arrival - uncontended;
-  emit_pkg t ~stage:"icn-inject" ~kind:(pkg_kind pk.req) ~addr:pk.addr
-    ~tcu:(pkg_tcu pk.req) ~pc:(pkg_pc pk.req) ~m;
+  station t ~stage:"icn-inject" pk ~m;
   Desim.Scheduler.schedule t.sched ~prio:Desim.Scheduler.prio_transfer
     ~delay:(arrival - now) (fun () ->
       pk.lc.l_arrive <- Desim.Scheduler.now t.sched;
-      emit_pkg t ~stage:"module-arrive" ~kind:(pkg_kind pk.req) ~addr:pk.addr
-        ~tcu:(pkg_tcu pk.req) ~pc:(pkg_pc pk.req) ~m;
+      station t ~stage:"module-arrive" pk ~m;
       Queue.add pk t.modules.(m).inq;
       (* arrival runs at prio_transfer: the cache tick at this instant (if
          any) already popped, so a sleeping cache domain resumes one period
          later — exactly when an ungated cache would next see the package *)
       Desim.Clock.wake t.clk_cache)
 
-let icn_reply t ~mid ~cl renv =
+let icn_reply t ~mid r =
+  let cl = r.pk.cl in
   let delay =
     (t.cfg.Config.icn_latency * Desim.Clock.period t.clk_icn) + t.jitter.(cl).(mid)
   in
   t.stats.Stats.icn_packets <- t.stats.Stats.icn_packets + 1;
-  renv.r_lc.l_svc <- Desim.Scheduler.now t.sched;
+  r.pk.lc.l_svc <- Desim.Scheduler.now t.sched;
   Desim.Scheduler.schedule t.sched ~prio:Desim.Scheduler.prio_transfer ~delay
     (fun () ->
-      Queue.add renv t.clusters.(cl).returns;
+      Queue.add r t.clusters.(cl).returns;
       Desim.Clock.wake t.clk_cluster)
 
 (* ------------------------------------------------------------------ *)
@@ -500,9 +388,7 @@ let maybe_join t =
     t.spawn_active <- false;
     Array.iter (fun cl -> Array.iter (fun u -> u.st <- Tidle) cl.ctcus) t.clusters;
     let _, join_idx = t.spawn_region in
-    (match t.profile with
-    | Some p -> Profile.master_join p ~pc:join_idx ~ticks:t.cfg.Config.join_overhead
-    | None -> ());
+    master_stall t ~pc:join_idx Probe.Join ~ticks:t.cfg.Config.join_overhead;
     let delay = t.cfg.Config.join_overhead * Desim.Clock.period t.clk_cluster in
     Desim.Scheduler.schedule t.sched ~delay (fun () ->
         (* master cache may hold lines the TCUs overwrote *)
@@ -511,10 +397,7 @@ let maybe_join t =
         t.master.F.pc <- join_idx + 1;
         t.master_st <- Mrun;
         Desim.Clock.wake t.clk_cluster;
-        match t.otracer with
-        | Some tr ->
-          Obs.Tracer.end_span tr ~ts:(Desim.Scheduler.now t.sched) ~tid:0 ()
-        | None -> ())
+        match t.probe with Some p -> p.Probe.join () | None -> ())
   end
 
 (* ------------------------------------------------------------------ *)
@@ -522,34 +405,36 @@ let maybe_join t =
 
 let service_pkg t (m : cache_module) pk =
   (* perform the functional memory effect now and produce the reply *)
-  let reply rp ~extra_delay cl =
-    Desim.Scheduler.schedule t.sched ~delay:extra_delay (fun () ->
-        icn_reply t ~mid:m.mid ~cl { rp; r_lc = pk.lc })
+  t.at_tcu <- pk.tcu;
+  t.at_pc <- pk.pc;
+  let v =
+    match pk.req with
+    | Rload _ | Rpref ->
+      let v = Mem.read t.memory pk.addr in
+      access t ~tcu:pk.tcu ~pc:pk.pc ~addr:pk.addr ~write:false;
+      v
+    | Rstore { value; _ } ->
+      Mem.write t.memory pk.addr value;
+      access t ~tcu:pk.tcu ~pc:pk.pc ~addr:pk.addr ~write:true;
+      V.zero
+    | Rpsm { inc; _ } ->
+      let old = Mem.fetch_add t.memory pk.addr inc in
+      t.stats.Stats.psm_ops <- t.stats.Stats.psm_ops + 1;
+      (* the psm word itself is the ordering primitive, not a plain access *)
+      sync t ~tcu:pk.tcu;
+      V.Int old
   in
   let hit_lat = t.cfg.Config.cache_hit_latency * Desim.Clock.period t.clk_cache in
-  match pk.req with
-  | Rload { cl; tcu; dst; ro; pc } ->
-    let v = Mem.read t.memory pk.addr in
-    rd_read t ~tcu ~pc ~addr:pk.addr;
-    reply (Pload { tcu; dst; v; ro; addr = pk.addr; pc }) ~extra_delay:hit_lat cl
-  | Rpref { cl; tcu; pc } ->
-    let v = Mem.read t.memory pk.addr in
-    rd_read t ~tcu ~pc ~addr:pk.addr;
-    reply (Ppref { tcu; v; addr = pk.addr; pc }) ~extra_delay:hit_lat cl
-  | Rstore { cl; tcu; value; nb; pc } ->
-    Mem.write t.memory pk.addr value;
-    rd_write t ~tcu ~pc ~addr:pk.addr;
-    reply (Pack { tcu; nb; addr = pk.addr; pc }) ~extra_delay:hit_lat cl
-  | Rpsm { cl; tcu; inc; dst; pc } ->
-    let old = Mem.fetch_add t.memory pk.addr inc in
-    t.stats.Stats.psm_ops <- t.stats.Stats.psm_ops + 1;
-    (* the psm word itself is the ordering primitive, not a plain access *)
-    rd_sync t ~tcu;
-    reply (Ppsm { tcu; dst; old; addr = pk.addr; pc }) ~extra_delay:hit_lat cl
+  Desim.Scheduler.schedule t.sched ~delay:hit_lat (fun () ->
+      icn_reply t ~mid:m.mid { pk; v })
 
 let dram_fill t (m : cache_module) line =
   Tags.install m.tags line;
-  emit_pkg t ~stage:"dram-fill" ~kind:"line" ~addr:line ~tcu:(-1) ~pc:(-1) ~m:m.mid;
+  (match t.probe with
+  | None -> ()
+  | Some p ->
+    p.Probe.station ~stage:"dram-fill" ~kind:"line" ~addr:line ~tcu:(-1) ~pc:(-1)
+      ~module_:m.mid);
   match Hashtbl.find_opt m.mshr line with
   | None -> ()
   | Some entry ->
@@ -565,14 +450,12 @@ let module_tick t (m : cache_module) =
       if Tags.lookup m.tags pk.addr then begin
         t.stats.Stats.cache_hits <- t.stats.Stats.cache_hits + 1;
         pk.lc.l_hit <- true;
-        emit_pkg t ~stage:"cache-hit" ~kind:(pkg_kind pk.req) ~addr:pk.addr
-          ~tcu:(pkg_tcu pk.req) ~pc:(pkg_pc pk.req) ~m:m.mid;
+        station t ~stage:"cache-hit" pk ~m:m.mid;
         service_pkg t m pk
       end
       else begin
         t.stats.Stats.cache_misses <- t.stats.Stats.cache_misses + 1;
-        emit_pkg t ~stage:"cache-miss" ~kind:(pkg_kind pk.req) ~addr:pk.addr
-          ~tcu:(pkg_tcu pk.req) ~pc:(pkg_pc pk.req) ~m:m.mid;
+        station t ~stage:"cache-miss" pk ~m:m.mid;
         match Hashtbl.find_opt m.mshr line with
         | Some entry -> entry.waiters <- pk :: entry.waiters
         | None ->
@@ -608,171 +491,134 @@ let dram_tick t =
 (* ------------------------------------------------------------------ *)
 (* TCU execution *)
 
-let reply_info = function
-  | Pload { tcu; addr; pc; _ } -> ("load", tcu, addr, pc)
-  | Ppref { tcu; addr; pc; _ } -> ("pref", tcu, addr, pc)
-  | Pack { tcu; nb; addr; pc } ->
-    ((if nb then "store-ack" else "store"), tcu, addr, pc)
-  | Ppsm { tcu; addr; pc; _ } -> ("psm", tcu, addr, pc)
+let reply_kind pk =
+  match pk.req with Rstore { nb = true; _ } -> "store-ack" | req -> req_kind req
 
-(* Close the request's lifecycle: feed the per-(cluster, module) latency
-   histograms and, when a span tracer is attached, emit one "mem-req"
-   span per request on the originating TCU's track covering its whole
-   outbox -> ICN -> module -> reply round trip. *)
-let observe_lifecycle t (cl : cluster) ~kind ~tcu ~addr (lc : lifecycle) =
-  let now = Desim.Scheduler.now t.sched in
-  (match t.stats.Stats.req_lat with
+(* Close the request's lifecycle into the per-(cluster, module) latency
+   histograms. *)
+let observe_latency t (cl : cluster) (lc : Probe.lifecycle) =
+  match t.stats.Stats.req_lat with
   | None -> ()
   | Some rl ->
-    let obs stage v =
-      Stats.observe_req rl stage ~cluster:cl.cid ~module_:lc.l_mod v
-    in
+    let now = Desim.Scheduler.now t.sched in
+    let obs stage v = Stats.observe_req rl stage ~cluster:cl.cid ~module_:lc.l_mod v in
     obs Stats.Licn_wait lc.l_icn_wait;
     obs (if lc.l_hit then Stats.Lservice_hit else Stats.Lservice_miss)
       (lc.l_svc - lc.l_arrive);
     obs Stats.Lreply (now - lc.l_svc);
-    obs Stats.Ltotal (now - lc.l_born));
-  match t.otracer with
-  | None -> ()
-  | Some tr ->
-    let tid = if tcu >= 0 then trace_tid_of_tcu tcu else trace_tid_memory t in
-    Obs.Tracer.complete tr ~ts:lc.l_born ~dur:(now - lc.l_born) ~tid ~cat:"mem"
-      ~args:
-        [ ("kind", Obs.Tracer.A_str kind);
-          ("addr", Obs.Tracer.A_int addr);
-          ("module", Obs.Tracer.A_int lc.l_mod);
-          ("hit", Obs.Tracer.A_int (if lc.l_hit then 1 else 0));
-          ("icn_wait", Obs.Tracer.A_int lc.l_icn_wait);
-          ("service", Obs.Tracer.A_int (lc.l_svc - lc.l_arrive));
-          ("reply", Obs.Tracer.A_int (now - lc.l_svc)) ]
-      "mem-req"
+    obs Stats.Ltotal (now - lc.l_born)
 
-let deliver_reply t (cl : cluster) { rp; r_lc } =
-  (let kind, tcu, addr, pc = reply_info rp in
-   emit_pkg t ~stage:"reply" ~kind ~addr ~tcu ~pc ~m:(-1);
-   observe_lifecycle t cl ~kind ~tcu ~addr r_lc);
-  match rp with
-  | Pload { tcu; dst; v; ro; addr; _ } ->
-    let u = cl.ctcus.(tcu mod t.cfg.Config.tcus_per_cluster) in
-    if ro then Tags.install cl.rocache addr;
-    F.complete_load u.ctx dst v;
-    if u.st = Tmemwait then begin
-      prof_flush_mem t u r_lc ~pref:false;
-      u.st <- Trun
-    end
-  | Ppref { tcu; v; addr; _ } -> (
-    let u = cl.ctcus.(tcu mod t.cfg.Config.tcus_per_cluster) in
-    match Prefetch_buffer.fill u.pbuf addr v with
-    | None -> ()
-    | Some dst ->
+(* wake a TCU parked on this reply *)
+let resume (u : tcu) how =
+  if u.st = Tmemwait then begin
+    u.st <- Trun;
+    how
+  end
+  else Probe.Not_waiting
+
+let deliver_reply t (cl : cluster) { pk; v } =
+  observe_latency t cl pk.lc;
+  (match t.probe with
+  | None -> ()
+  | Some p ->
+    p.Probe.station ~stage:"reply" ~kind:(reply_kind pk) ~addr:pk.addr ~tcu:pk.tcu
+      ~pc:pk.pc ~module_:(-1));
+  let u = cl.ctcus.(pk.tcu mod t.cfg.Config.tcus_per_cluster) in
+  t.at_tcu <- u.tid;
+  t.at_pc <- pk.pc;
+  let resumed =
+    match pk.req with
+    | Rload { dst; ro } ->
+      if ro then Tags.install cl.rocache pk.addr;
       F.complete_load u.ctx dst v;
-      if u.st = Tmemwait then begin
-        prof_flush_mem t u r_lc ~pref:true;
-        u.st <- Trun
-      end)
-  | Pack { tcu; nb; _ } ->
-    let u = cl.ctcus.(tcu mod t.cfg.Config.tcus_per_cluster) in
-    if nb then begin
+      resume u Probe.Resumed
+    | Rpref -> (
+      match Prefetch_buffer.fill u.pbuf pk.addr v with
+      | None -> Probe.Not_waiting
+      | Some dst ->
+        F.complete_load u.ctx dst v;
+        resume u Probe.Resumed_by_prefetch)
+    | Rstore { nb = true; _ } ->
       u.pending <- u.pending - 1;
       t.pending_total <- t.pending_total - 1;
       if u.st = Tfence && u.pending = 0 then begin
         u.st <- Trun;
-        rd_release t ~tcu:u.tid (* fence completes: stores drained *)
+        release t ~tcu:u.tid (* fence completes: stores drained *)
       end;
-      maybe_join t
+      maybe_join t;
+      Probe.Not_waiting
+    | Rstore { nb = false; _ } -> resume u Probe.Resumed (* blocking store ack *)
+    | Rpsm { dst; _ } ->
+      if dst <> 0 then u.ctx.F.regs.(dst) <- V.to_int v;
+      resume u Probe.Resumed
+  in
+  match t.probe with
+  | None -> ()
+  | Some p -> p.Probe.reply ~tcu:u.tid ~kind:(reply_kind pk) ~addr:pk.addr pk.lc resumed
+
+(* Claim a free unit of the shared [pool] (from index [i] on) for [lat]
+   cycles: [lat], or -1 when every unit is busy. *)
+let rec acquire_fu t pool lat i =
+  if i >= Array.length pool then -1
+  else begin
+    let now = Desim.Scheduler.now t.sched in
+    if pool.(i) <= now then begin
+      pool.(i) <- now + (lat * Desim.Clock.period t.clk_cluster);
+      lat
     end
-    else if u.st = Tmemwait then begin
-      (* blocking store ack *)
-      prof_flush_mem t u r_lc ~pref:false;
-      u.st <- Trun
-    end
-  | Ppsm { tcu; dst; old; _ } ->
-    let u = cl.ctcus.(tcu mod t.cfg.Config.tcus_per_cluster) in
-    if dst <> 0 then u.ctx.F.regs.(dst) <- old;
-    if u.st = Tmemwait then begin
-      prof_flush_mem t u r_lc ~pref:false;
-      u.st <- Trun
-    end
+    else acquire_fu t pool lat (i + 1)
+  end
 
 (* issue one TCU instruction; returns unit.  Assumes u.st = Trun. *)
 let tcu_issue t (cl : cluster) (u : tcu) =
   let spawn_idx, join_idx = t.spawn_region in
   let pc = u.ctx.F.pc in
+  t.at_tcu <- u.tid;
+  t.at_pc <- pc;
   if pc <= spawn_idx || pc >= join_idx then
     fail
-      "TCU %d fetched pc %d outside the broadcast spawn region (%d, %d): the \
-       block was not broadcast (cf. Fig. 9)"
-      u.tid pc spawn_idx join_idx;
+      "fetched pc %d outside the broadcast spawn region (%d, %d): the block \
+       was not broadcast (cf. Fig. 9)"
+      pc spawn_idx join_idx;
   let ins = t.img.Isa.Program.instrs.(pc) in
-  (* shared-FU availability check before issue *)
-  let now = Desim.Scheduler.now t.sched in
-  let try_fu pool lat =
-    let rec go i =
-      if i >= Array.length pool then None
-      else if pool.(i) <= now then begin
-        pool.(i) <- now + (lat * Desim.Clock.period t.clk_cluster);
-        Some lat
-      end
-      else go (i + 1)
-    in
-    go 0
+  (* a shared MDU/FPU unit must be free before issue *)
+  let fu_lat =
+    match ins with
+    | I.Mdu (I.Mul, _, _, _) -> acquire_fu t cl.mdu t.cfg.Config.mul_latency 0
+    | I.Mdu _ -> acquire_fu t cl.mdu t.cfg.Config.div_latency 0
+    | I.Fpu1 (I.Fsqrt, _, _) -> acquire_fu t cl.fpu t.cfg.Config.sqrt_latency 0
+    | I.Fpu (I.Fdiv, _, _, _) -> acquire_fu t cl.fpu t.cfg.Config.div_latency 0
+    | I.Fpu _ | I.Fpu1 _ | I.Fcmp _ | I.Cvt_i2f _ | I.Cvt_f2i _ | I.Fli _ ->
+      acquire_fu t cl.fpu t.cfg.Config.fpu_latency 0
+    | _ -> 0
   in
-  let fu_needed =
-    match I.fu_class_of ins with
-    | I.FU_MDU ->
-      let lat =
-        match ins with
-        | I.Mdu (I.Mul, _, _, _) -> t.cfg.Config.mul_latency
-        | _ -> t.cfg.Config.div_latency
-      in
-      Some (cl.mdu, lat)
-    | I.FU_FPU ->
-      let lat =
-        match ins with
-        | I.Fpu1 (I.Fsqrt, _, _) -> t.cfg.Config.sqrt_latency
-        | I.Fpu (I.Fdiv, _, _, _) -> t.cfg.Config.div_latency
-        | _ -> t.cfg.Config.fpu_latency
-      in
-      Some (cl.fpu, lat)
-    | _ -> None
-  in
-  let granted =
-    match fu_needed with
-    | None -> Some 0
-    | Some (pool, lat) -> try_fu pool lat
-  in
-  match granted with
-  | None ->
+  if fu_lat < 0 then begin
     (* shared unit busy: stall, retry next cycle *)
     t.stats.Stats.tcu_fuwait_cycles <- t.stats.Stats.tcu_fuwait_cycles + 1;
-    (match t.profile with
-    | Some p -> Profile.tcu_stall p ~tcu:u.tid ~pc
-    | None -> ())
-  | Some fu_lat -> (
-    let read_str a = Mem.read_string t.memory a in
-    let res = F.issue t.img u.ctx ~read_str in
+    stall t u Probe.Fu_busy ~ticks:1
+  end
+  else begin
+    let res = F.issue t.img u.ctx ~read_str:t.read_str in
     Stats.count_instr t.stats ~master:false ins;
     t.cluster_instrs.(cl.cid) <- t.cluster_instrs.(cl.cid) + 1;
     t.stats.Stats.tcu_busy_cycles <- t.stats.Stats.tcu_busy_cycles + 1;
-    let addr_of =
-      match res with
-      | F.Load { addr; _ } | F.Store { addr; _ } | F.Psm { addr; _ }
-      | F.Prefetch { addr } ->
-        Some addr
-      | _ -> None
-    in
-    notify_instr t ~tcu:u.tid ~pc ins ~addr:addr_of;
-    (match t.profile with
+    (match t.probe with
+    | None -> ()
     | Some p ->
-      Profile.tcu_issue p ~tcu:u.tid ~pc
-        ~mem:(match addr_of with Some _ -> true | None -> false)
-    | None -> ());
+      let addr =
+        match res with
+        | F.Load { addr; _ } | F.Store { addr; _ } | F.Psm { addr; _ }
+        | F.Prefetch { addr } ->
+          addr
+        | _ -> -1
+      in
+      p.Probe.issue ~tcu:u.tid ~pc ins ~addr);
     match res with
     | F.Done -> if fu_lat > 1 then u.st <- Tfuwait (fu_lat - 1)
     | F.Load { dst; addr; ro } ->
       if ro && Tags.lookup cl.rocache addr then begin
         t.stats.Stats.rocache_hits <- t.stats.Stats.rocache_hits + 1;
-        rd_read t ~tcu:u.tid ~pc ~addr;
+        access t ~tcu:u.tid ~pc ~addr ~write:false;
         F.complete_load u.ctx dst (Mem.read t.memory addr);
         if t.cfg.Config.rocache_hit_latency > 1 then
           u.st <- Tfuwait (t.cfg.Config.rocache_hit_latency - 1)
@@ -786,46 +632,40 @@ let tcu_issue t (cl : cluster) (u : tcu) =
         | Prefetch_buffer.In_flight ->
           t.stats.Stats.prefetch_late <- t.stats.Stats.prefetch_late + 1;
           Prefetch_buffer.wait_on u.pbuf addr dst;
-          u.st <- Tmemwait
+          park t u Tmemwait Probe.Mem ~pc
         | Prefetch_buffer.Miss ->
           t.stats.Stats.prefetch_misses <- t.stats.Stats.prefetch_misses + 1;
-          Queue.add
-            (mk_pkg t addr (Rload { cl = cl.cid; tcu = u.tid; dst; ro; pc }))
-            cl.outbox;
-          u.st <- Tmemwait
+          Queue.add (mk_pkg t u ~pc addr (Rload { dst; ro })) cl.outbox;
+          park t u Tmemwait Probe.Mem ~pc
       end
     | F.Store { addr; value; nb } ->
       (* rule 1 (same source, same destination order): the TCU's own store
          must not be shadowed by a stale prefetched value *)
       Prefetch_buffer.invalidate u.pbuf addr;
-      Queue.add
-        (mk_pkg t addr (Rstore { cl = cl.cid; tcu = u.tid; value; nb; pc }))
-        cl.outbox;
+      Queue.add (mk_pkg t u ~pc addr (Rstore { value; nb })) cl.outbox;
       if nb then begin
         t.stats.Stats.nb_stores <- t.stats.Stats.nb_stores + 1;
         u.pending <- u.pending + 1;
         t.pending_total <- t.pending_total + 1
       end
-      else u.st <- Tmemwait
+      else park t u Tmemwait Probe.Mem ~pc
     | F.Psm { dst; addr; inc } ->
-      Queue.add
-        (mk_pkg t addr (Rpsm { cl = cl.cid; tcu = u.tid; inc; dst; pc }))
-        cl.outbox;
-      u.st <- Tmemwait
+      Queue.add (mk_pkg t u ~pc addr (Rpsm { inc; dst })) cl.outbox;
+      park t u Tmemwait Probe.Mem ~pc
     | F.Prefetch { addr } ->
       t.stats.Stats.prefetch_issued <- t.stats.Stats.prefetch_issued + 1;
       if Prefetch_buffer.start u.pbuf addr then
-        Queue.add (mk_pkg t addr (Rpref { cl = cl.cid; tcu = u.tid; pc })) cl.outbox
+        Queue.add (mk_pkg t u ~pc addr Rpref) cl.outbox
     | F.Ps { dst; g; inc } ->
       if inc <> 0 && inc <> 1 then
-        fail "TCU %d: ps increment must be 0 or 1 (got %d)" u.tid inc;
+        fail "ps increment must be 0 or 1 (got %d)" inc;
       t.stats.Stats.ps_ops <- t.stats.Stats.ps_ops + 1;
       u.st <- Tpswait;
       let delay = t.cfg.Config.ps_latency * Desim.Clock.period t.clk_cluster in
       Desim.Scheduler.schedule t.sched ~delay (fun () ->
           let old = t.globals.(g) in
           t.globals.(g) <- old + inc;
-          rd_sync t ~tcu:u.tid;
+          sync t ~tcu:u.tid;
           if dst <> 0 then u.ctx.F.regs.(dst) <- old;
           if u.st = Tpswait then u.st <- Trun)
     | F.Chkid { id } ->
@@ -835,63 +675,38 @@ let tcu_issue t (cl : cluster) (u : tcu) =
       else begin
         u.st <- Tdone;
         t.done_count <- t.done_count + 1;
-        (match t.otracer with
-        | Some tr ->
-          if u.mw_since >= 0 then close_memwait_span t tr u;
-          if u.run_since >= 0 then close_run_span t tr u
-        | None -> ());
+        stall t u Probe.Done ~ticks:0;
         maybe_join t
       end
     | F.Fence ->
       t.stats.Stats.fences <- t.stats.Stats.fences + 1;
-      if u.pending > 0 then u.st <- Tfence
-      else rd_release t ~tcu:u.tid (* nothing pending: completes at once *)
+      if u.pending > 0 then park t u Tfence Probe.Fence ~pc
+      else release t ~tcu:u.tid (* nothing pending: completes at once *)
     | F.Output s -> Buffer.add_string t.out_buf s
-    | F.Spawn _ -> fail "TCU %d executed spawn (nested spawns are serialized)" u.tid
-    | F.Join -> fail "TCU %d reached the join instruction" u.tid
-    | F.Halt -> fail "TCU %d executed halt" u.tid
-    | F.Mfg _ | F.Mtg _ -> fail "TCU %d executed serial-only mfg/mtg" u.tid)
-
-(* Psm replies need the destination register; carry it in the request. *)
+    | F.Spawn _ -> fail "a TCU executed spawn (nested spawns are serialized)"
+    | F.Join -> fail "a TCU reached the join instruction"
+    | F.Halt -> fail "a TCU executed halt"
+    | F.Mfg _ | F.Mtg _ -> fail "a TCU executed serial-only mfg/mtg"
+  end
 
 let tcu_tick t (cl : cluster) (u : tcu) =
-  (* span tracking: open a memwait span on the first waiting tick, close
-     it on the first tick in any other state *)
-  (match t.otracer with
-  | None -> ()
-  | Some tr -> (
-    match u.st with
-    | Tmemwait | Tfence ->
-      if u.mw_since < 0 then u.mw_since <- Desim.Scheduler.now t.sched
-    | _ -> if u.mw_since >= 0 then close_memwait_span t tr u));
   match u.st with
   | Tidle | Tdone -> ()
   | Trun -> tcu_issue t cl u
   | Tfuwait n ->
     t.stats.Stats.tcu_busy_cycles <- t.stats.Stats.tcu_busy_cycles + 1;
-    (match t.profile with
-    | Some p -> Profile.tcu_wait p ~tcu:u.tid Profile.Compute
-    | None -> ());
+    stall t u Probe.Latency ~ticks:1;
     u.st <- (if n <= 1 then Trun else Tfuwait (n - 1))
   | Tmemwait ->
-    t.stats.Stats.tcu_memwait_cycles <- t.stats.Stats.tcu_memwait_cycles + 1;
-    (* open-episode tick: direct field bump, this is the hottest hook *)
-    (match t.profile with
-    | Some p -> p.Profile.mw_ticks.(u.tid) <- p.Profile.mw_ticks.(u.tid) + 1
-    | None -> ())
+    t.stats.Stats.tcu_memwait_cycles <- t.stats.Stats.tcu_memwait_cycles + 1
   | Tpswait ->
     t.stats.Stats.tcu_pswait_cycles <- t.stats.Stats.tcu_pswait_cycles + 1;
-    (match t.profile with
-    | Some p -> Profile.tcu_wait p ~tcu:u.tid Profile.Fence_ps
-    | None -> ())
+    stall t u Probe.Ps ~ticks:1
   | Tfence ->
     t.stats.Stats.tcu_memwait_cycles <- t.stats.Stats.tcu_memwait_cycles + 1;
-    (match t.profile with
-    | Some p -> Profile.tcu_wait p ~tcu:u.tid Profile.Fence_ps
-    | None -> ());
     if u.pending = 0 then begin
       u.st <- Trun;
-      rd_release t ~tcu:u.tid
+      release t ~tcu:u.tid
     end
 
 let cluster_tick t (cl : cluster) =
@@ -914,7 +729,7 @@ let cluster_tick t (cl : cluster) =
     (* phase 3: inject into the ICN *)
     for _ = 1 to t.cfg.Config.cluster_inject_width do
       match Queue.take_opt cl.outbox with
-      | Some pk -> icn_send t ~cl:cl.cid pk
+      | Some pk -> icn_send t pk
       | None -> ()
     done
   end
@@ -926,59 +741,40 @@ let master_tick t =
   match t.master_st with
   | Mhalted | Mmemwait | Mspawnwait -> ()
   | Mstall n ->
-    (match t.profile with Some p -> Profile.master_wait p | None -> ());
+    master_stall t ~pc:t.master.F.pc Probe.Latency ~ticks:1;
     t.master_st <- (if n <= 1 then Mrun else Mstall (n - 1))
   | Mrun -> (
     let pc = t.master.F.pc in
+    t.at_tcu <- -1;
+    t.at_pc <- pc;
     let ins = t.img.Isa.Program.instrs.(pc) in
     (* master handles mfg/mtg directly *)
-    let read_str a = Mem.read_string t.memory a in
-    let res = F.issue t.img t.master ~read_str in
+    let res = F.issue t.img t.master ~read_str:t.read_str in
     Stats.count_instr t.stats ~master:true ins;
-    let addr_of =
-      match res with
-      | F.Load { addr; _ } | F.Store { addr; _ } -> Some addr
-      | _ -> None
-    in
-    notify_instr t ~tcu:(-1) ~pc ins ~addr:addr_of;
-    (match t.profile with
+    (match t.probe with
+    | None -> ()
     | Some p ->
-      Profile.master_issue p ~pc
-        ~mem:(match addr_of with Some _ -> true | None -> false)
-    | None -> ());
+      let addr = match res with F.Load { addr; _ } | F.Store { addr; _ } -> addr | _ -> -1 in
+      p.Probe.issue ~tcu:(-1) ~pc ins ~addr);
     match res with
-    | F.Done -> (
-      (* multi-cycle master ALU ops *)
-      match I.fu_class_of ins with
-      | I.FU_MDU ->
-        let lat =
-          match ins with
-          | I.Mdu (I.Mul, _, _, _) -> t.cfg.Config.mul_latency
-          | _ -> t.cfg.Config.div_latency
-        in
-        if lat > 1 then begin
-          prof_master_stall t Profile.Compute;
-          t.master_st <- Mstall (lat - 1)
-        end
-      | I.FU_FPU ->
-        let lat =
-          match ins with
-          | I.Fpu1 (I.Fsqrt, _, _) -> t.cfg.Config.sqrt_latency
-          | _ -> t.cfg.Config.fpu_latency
-        in
-        if lat > 1 then begin
-          prof_master_stall t Profile.Compute;
-          t.master_st <- Mstall (lat - 1)
-        end
-      | _ -> ())
+    | F.Done ->
+      (* multi-cycle master ALU ops (its FPU divides at fpu_latency) *)
+      let lat =
+        match ins with
+        | I.Mdu (I.Mul, _, _, _) -> t.cfg.Config.mul_latency
+        | I.Mdu _ -> t.cfg.Config.div_latency
+        | I.Fpu1 (I.Fsqrt, _, _) -> t.cfg.Config.sqrt_latency
+        | I.Fpu _ | I.Fpu1 _ | I.Fcmp _ | I.Cvt_i2f _ | I.Cvt_f2i _ | I.Fli _ ->
+          t.cfg.Config.fpu_latency
+        | _ -> 1
+      in
+      if lat > 1 then t.master_st <- Mstall (lat - 1)
     | F.Load { dst; addr; ro = _ } ->
       if Tags.lookup t.master_cache addr then begin
         t.stats.Stats.master_cache_hits <- t.stats.Stats.master_cache_hits + 1;
         F.complete_load t.master dst (Mem.read t.memory addr);
-        if t.cfg.Config.master_cache_hit_latency > 1 then begin
-          prof_master_stall t Profile.Cache_hit;
+        if t.cfg.Config.master_cache_hit_latency > 1 then
           t.master_st <- Mstall (t.cfg.Config.master_cache_hit_latency - 1)
-        end
       end
       else begin
         t.stats.Stats.master_cache_misses <- t.stats.Stats.master_cache_misses + 1;
@@ -990,17 +786,16 @@ let master_tick t =
         t.stats.Stats.dram_reads <- t.stats.Stats.dram_reads + 1;
         let t_miss = Desim.Scheduler.now t.sched in
         Desim.Scheduler.schedule t.sched ~delay (fun () ->
+            t.at_tcu <- -1;
+            t.at_pc <- pc;
             Tags.install t.master_cache addr;
             F.complete_load t.master dst (Mem.read t.memory addr);
-            (match t.profile with
-            | Some p ->
-              (* the master was parked the whole window; charge it as
-                 DRAM wait, in cluster-grid ticks *)
-              Profile.master_mem p
-                ~ticks:
-                  ((Desim.Scheduler.now t.sched - t_miss)
-                  / max 1 (Desim.Clock.period t.clk_cluster))
-            | None -> ());
+            (* the master was parked the whole window: report it in
+               cluster-grid ticks *)
+            master_stall t ~pc:t.master.F.pc Probe.Mem
+              ~ticks:
+                ((Desim.Scheduler.now t.sched - t_miss)
+                / max 1 (Desim.Clock.period t.clk_cluster));
             if t.master_st = Mmemwait then t.master_st <- Mrun;
             Desim.Clock.wake t.clk_cluster)
       end
@@ -1019,9 +814,7 @@ let master_tick t =
         | None -> fail "spawn at %d has no join" spawn_idx
       in
       t.master_st <- Mspawnwait;
-      (match t.profile with
-      | Some p -> Profile.master_spawn p ~pc ~ticks:t.cfg.Config.spawn_overhead
-      | None -> ());
+      master_stall t ~pc Probe.Spawn ~ticks:t.cfg.Config.spawn_overhead;
       let delay = t.cfg.Config.spawn_overhead * Desim.Clock.period t.clk_cluster in
       Desim.Scheduler.schedule t.sched ~delay (fun () ->
           t.spawn_region <- (spawn_idx, join_idx);
@@ -1029,18 +822,7 @@ let master_tick t =
           t.globals.(Isa.Reg.g_spawn) <- lo;
           t.done_count <- 0;
           t.spawn_active <- true;
-          (match t.racedet with
-          | Some rd -> Racedetect.on_spawn rd
-          | None -> ());
-          let now = Desim.Scheduler.now t.sched in
-          (match t.otracer with
-          | Some tr ->
-            Obs.Tracer.begin_span tr ~ts:now ~tid:0 ~cat:"spawn"
-              ~args:
-                [ ("lo", Obs.Tracer.A_int lo); ("hi", Obs.Tracer.A_int hi);
-                  ("threads", Obs.Tracer.A_int (hi - lo + 1)) ]
-              "spawn"
-          | None -> ());
+          (match t.probe with Some p -> p.Probe.spawn ~lo ~hi | None -> ());
           Array.iter
             (fun cl ->
               Array.iter
@@ -1048,7 +830,6 @@ let master_tick t =
                   F.copy_regs ~src:t.master ~dst:u.ctx;
                   u.ctx.F.pc <- spawn_idx + 1;
                   u.st <- Trun;
-                  if t.otracer <> None then u.run_since <- now;
                   Prefetch_buffer.clear u.pbuf)
                 cl.ctcus)
             t.clusters;
@@ -1127,8 +908,7 @@ let export_clocks t reg =
         (float_of_int (Desim.Clock.period c)))
     [ Clusters; Icn; Caches; Dram ]
 
-let add_activity_plugin t ~name ~interval hook =
-  ignore name;
+let add_activity_plugin t ~interval hook =
   (* plug-ins sample on cluster ticks: keep that clock free-running so
      sampling times match an unplugged run of the same schedule *)
   t.has_plugin <- true;
@@ -1136,251 +916,35 @@ let add_activity_plugin t ~name ~interval hook =
   Desim.Clock.on_tick ~phase:2 t.clk_cluster (fun cycle ->
       if cycle > 0 && cycle mod interval = 0 then hook t cycle)
 
-let add_filter_plugin t f = t.filters <- f :: t.filters
-
-let filter_reports t =
-  List.rev_map (fun f -> (f.Plugin.f_name, f.Plugin.f_report ())) t.filters
-
-(* Hooks return a detach thunk so finite-length consumers (e.g. a trace
-   with a line limit) can unhook themselves instead of being filtered on
-   every subsequent instruction.  Detaching mid-notification is safe: the
-   in-progress iteration walks the old (immutable) list. *)
-let add_instr_hook t f =
-  t.tracers <- f :: t.tracers;
-  fun () -> t.tracers <- List.filter (fun g -> g != f) t.tracers
-
-let add_package_hook t f =
-  t.pkg_tracers <- f :: t.pkg_tracers;
-  fun () -> t.pkg_tracers <- List.filter (fun g -> g != f) t.pkg_tracers
-
-let on_instr t f = ignore (add_instr_hook t f : unit -> unit)
-let on_package t f = ignore (add_package_hook t f : unit -> unit)
-
 (* ------------------------------------------------------------------ *)
-(* Race detector attachment (dynamic layer of the race checker).  The
-   detector observes accesses at service time and syncs at completion
-   time; when detached every hook is a single option check. *)
+(* Passive observers.  Every attached probe is folded into one record,
+   rebuilt on attach and detach; a detach from inside a callback is safe
+   because the call in progress holds the old record. *)
 
-let attach_racecheck t =
-  match t.racedet with
-  | Some rd -> rd
-  | None ->
-    let rd = Racedetect.create () in
-    t.racedet <- Some rd;
-    rd
-
-let detach_racecheck t = t.racedet <- None
-let racecheck t = t.racedet
-
-(* ------------------------------------------------------------------ *)
-(* Cycle-accounting profiler attachment.  Purely passive: the profiler
-   observes state transitions the machine makes anyway, so attaching it
-   never perturbs cycles, stats or traces (unlike activity plugins it
-   does not disable clock gating). *)
-
-let attach_profile t =
-  match t.profile with
-  | Some p -> p
-  | None ->
-    let base_ticks =
-      Desim.Clock.cycles t.clk_cluster + Desim.Clock.skipped_ticks t.clk_cluster
-    in
-    let p =
-      Profile.create ~n_tcus:(total_tcus t)
-        ~tcus_per_cluster:t.cfg.Config.tcus_per_cluster
-        ~n_instrs:(Array.length t.img.Isa.Program.instrs)
-        ~base_ticks
-    in
-    t.profile <- Some p;
-    p
-
-let detach_profile t = t.profile <- None
-let profile t = t.profile
-
-let profile_report t =
-  Option.map
-    (fun p ->
-      let total_ticks =
-        Desim.Clock.cycles t.clk_cluster
-        + Desim.Clock.skipped_ticks t.clk_cluster
-        - Profile.base_ticks p
-      in
-      Profile.report p ~total_ticks ~locs:t.img.Isa.Program.locs)
-    t.profile
-
-(* ------------------------------------------------------------------ *)
-(* Live telemetry stream attachment.  Like the profiler, the heartbeat
-   producer is passive: it registers one more tick handler on the
-   cluster clock — which ticks anyway whenever it is awake — and samples
-   counters the machine maintains regardless.  It never wakes a clock or
-   schedules an event (unlike activity plug-ins it leaves clock gating
-   untouched), so a streamed run is bit-identical to an unstreamed one
-   including the host-side event count. *)
-
-let attach_stream ?(heartbeat_cycles = 10_000) t s =
-  if t.started then fail "attach_stream must be called before the first run";
-  if heartbeat_cycles <= 0 then
-    fail "attach_stream: heartbeat_cycles must be positive";
-  (match t.hb with
-  | Some _ -> fail "attach_stream: a stream is already attached"
-  | None -> ());
-  Obs.Stream.emit s ~typ:"run.start" ~t:(Desim.Scheduler.now t.sched)
-    [
-      ("config", Obs.Json.Str t.cfg.Config.name);
-      ("clusters", Obs.Json.Int t.cfg.Config.num_clusters);
-      ("tcus", Obs.Json.Int (total_tcus t));
-      ("instructions", Obs.Json.Int (Array.length t.img.Isa.Program.instrs));
-      ("heartbeat_cycles", Obs.Json.Int heartbeat_cycles);
-    ];
-  t.hb <-
-    Some
-      {
-        hb_stream = s;
-        hb_interval = heartbeat_cycles;
-        hb_next = heartbeat_cycles;
-        hb_rollup = Obs.Stream.rollup ~window:16 s "sim.heartbeat";
-        hb_last_events = 0;
-        hb_last_us = Obs.Tracer.host_now_us ();
-        hb_last_busy = 0;
-        hb_last_memwait = 0;
-        hb_done = false;
-      }
-
-let detach_stream t = t.hb <- None
-let stream t = Option.map (fun h -> h.hb_stream) t.hb
-
-(* One heartbeat: grid cycle, host events/sec over the window, currently
-   gated domains, and the fraction of TCU-cycles stalled on memory in
-   the window — all from counters the run maintains anyway. *)
-let stream_heartbeat t h cycle =
-  let now = Desim.Scheduler.now t.sched in
-  let events = Desim.Scheduler.events_processed t.sched in
-  let us = Obs.Tracer.host_now_us () in
-  let d_secs = float_of_int (us - h.hb_last_us) /. 1e6 in
-  let rate =
-    if d_secs > 0.0 then float_of_int (events - h.hb_last_events) /. d_secs
-    else 0.0
+let attach t p =
+  let rebuild () =
+    t.probe <-
+      (match t.probes with
+      | [] -> None
+      | q :: qs -> Some (List.fold_left Probe.both q qs))
   in
-  let gated =
-    List.fold_left
-      (fun acc c -> if Desim.Clock.sleeping c then acc + 1 else acc)
-      0
-      [ t.clk_cluster; t.clk_icn; t.clk_cache; t.clk_dram ]
-  in
-  let busy = t.stats.Stats.tcu_busy_cycles in
-  let mw = t.stats.Stats.tcu_memwait_cycles in
-  let d_busy = busy - h.hb_last_busy and d_mw = mw - h.hb_last_memwait in
-  let memwait_frac =
-    if d_busy + d_mw = 0 then 0.0
-    else float_of_int d_mw /. float_of_int (d_busy + d_mw)
-  in
-  h.hb_last_events <- events;
-  h.hb_last_us <- us;
-  h.hb_last_busy <- busy;
-  h.hb_last_memwait <- mw;
-  Obs.Stream.emit h.hb_stream ~typ:"sim.heartbeat" ~t:now
-    [
-      ("cycle", Obs.Json.Int cycle);
-      ("events", Obs.Json.Int events);
-      ("events_per_sec", Obs.Json.Float rate);
-      ("gated_domains", Obs.Json.Int gated);
-      ("memwait_frac", Obs.Json.Float memwait_frac);
-    ];
-  Obs.Stream.observe h.hb_rollup ~t:now
-    [
-      ("events_per_sec", rate);
-      ("gated_domains", float_of_int gated);
-      ("memwait_frac", memwait_frac);
-    ]
-
-(* The per-run summary record (and the stream's drop count, the final
-   word on the overflow policy).  Emitted once, after the halting run. *)
-let stream_run_done t h =
-  h.hb_done <- true;
-  Obs.Stream.close_rollup h.hb_rollup;
-  Obs.Stream.emit h.hb_stream ~typ:"run.done" ~t:(Desim.Scheduler.now t.sched)
-    [
-      ("cycles", Obs.Json.Int (Desim.Scheduler.now t.sched));
-      ("instructions", Obs.Json.Int (Stats.total_instrs t.stats));
-      ("events", Obs.Json.Int (Desim.Scheduler.events_processed t.sched));
-      ("output_bytes", Obs.Json.Int (Buffer.length t.out_buf));
-      ("halted", Obs.Json.Bool t.halted);
-      ("dropped", Obs.Json.Int (Obs.Stream.dropped h.hb_stream));
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Span tracer attachment *)
-
-let tracer t = t.otracer
-
-let attach_tracer t tr =
-  t.otracer <- Some tr;
-  Obs.Tracer.name_process tr ~pid:1 "xmtsim (ts = simulated time units)";
-  Obs.Tracer.name_thread tr ~pid:1 ~tid:0 "MTCU";
-  Array.iter
-    (fun cl ->
-      Array.iter
-        (fun u ->
-          Obs.Tracer.name_thread tr ~pid:1 ~tid:(trace_tid_of_tcu u.tid)
-            (Printf.sprintf "TCU %d" u.tid))
-        cl.ctcus)
-    t.clusters;
-  Obs.Tracer.name_thread tr ~pid:1 ~tid:(trace_tid_memory t) "memory";
-  Obs.Tracer.name_thread tr ~pid:1 ~tid:(trace_tid_governor t) "governor";
-  (* package hops as instant events on the originating TCU's track *)
-  on_package t (fun ev ->
-      let tid =
-        if ev.pe_tcu >= 0 then trace_tid_of_tcu ev.pe_tcu else trace_tid_memory t
-      in
-      Obs.Tracer.instant tr ~ts:ev.pe_time ~tid ~cat:"pkg"
-        ~args:
-          [ ("kind", Obs.Tracer.A_str ev.pe_kind);
-            ("addr", Obs.Tracer.A_int ev.pe_addr);
-            ("module", Obs.Tracer.A_int ev.pe_module) ]
-        ev.pe_stage)
-
-(** Close any spans still open at the current simulated time (waiting
-    TCUs, an active spawn region).  Call once, after the last [run],
-    before serializing the trace. *)
-let flush_tracer t =
-  match t.otracer with
-  | None -> ()
-  | Some tr ->
-    Array.iter
-      (fun cl ->
-        Array.iter
-          (fun u ->
-            if u.mw_since >= 0 then close_memwait_span t tr u;
-            if u.run_since >= 0 then close_run_span t tr u)
-          cl.ctcus)
-      t.clusters;
-    if t.spawn_active then
-      Obs.Tracer.end_span tr ~ts:(Desim.Scheduler.now t.sched) ~tid:0 ()
+  t.probes <- t.probes @ [ p ];
+  rebuild ();
+  fun () ->
+    t.probes <- List.filter (fun q -> q != p) t.probes;
+    rebuild ()
 
 (* ------------------------------------------------------------------ *)
 
 let start t =
   if not t.started then begin
     t.started <- true;
-    (* streaming heartbeats ride the cluster clock's existing phase-0
-       tick handler (fired ticks only — a gated-off domain emits none),
-       so attaching them changes neither event scheduling nor gating.
-       The check is inlined into the master-tick closure rather than
-       registered as its own handler: an extra handler costs a dispatch
-       on every fired tick (measured ~4% on serial workloads), while the
-       inlined compare is noise — and unstreamed runs keep the exact
-       pre-existing closure, not even an option check. *)
-    (match t.hb with
-    | None -> Desim.Clock.on_tick ~phase:0 t.clk_cluster (fun _ -> master_tick t)
-    | Some h ->
-      (* [>=] rather than [mod] so a boundary slept through (clock
-         gating) still yields a heartbeat on the next fired tick *)
-      Desim.Clock.on_tick ~phase:0 t.clk_cluster (fun cycle ->
-          if cycle >= h.hb_next then begin
-            h.hb_next <- cycle + h.hb_interval;
-            stream_heartbeat t h cycle
-          end;
-          master_tick t));
+    (* the probe's cluster-tick hook rides the master's phase-0 handler
+       (fired ticks only: a gated-off domain reports none) rather than a
+       handler of its own, which would cost a dispatch on every tick *)
+    Desim.Clock.on_tick ~phase:0 t.clk_cluster (fun cycle ->
+        (match t.probe with None -> () | Some p -> p.Probe.cluster_tick cycle);
+        master_tick t);
     Desim.Clock.on_tick ~phase:1 t.clk_cluster (fun _ ->
         Array.iter (cluster_tick t) t.clusters);
     Desim.Clock.on_tick ~phase:0 t.clk_cache (fun _ ->
@@ -1411,11 +975,12 @@ let run ?max_cycles t =
     match max_cycles with Some m -> m | None -> t.cfg.Config.max_cycles
   in
   Desim.Scheduler.stop t.sched ~time:(Desim.Scheduler.now t.sched + budget) ();
-  let (_ : Desim.Scheduler.outcome) = Desim.Scheduler.run t.sched in
+  (match Desim.Scheduler.run t.sched with
+  | (_ : Desim.Scheduler.outcome) -> ()
+  | exception Sim_error msg -> raise (F.Fault { tcu = t.at_tcu; pc = t.at_pc; msg })
+  | exception e -> raise (F.fault ~tcu:t.at_tcu ~pc:t.at_pc e));
   t.stats.Stats.cycles <- Desim.Scheduler.now t.sched;
-  (match t.hb with
-  | Some h when t.halted && not h.hb_done -> stream_run_done t h
-  | _ -> ());
+  (match t.probe with Some p when t.halted -> p.Probe.run_done () | _ -> ());
   { output = Buffer.contents t.out_buf; cycles = Desim.Scheduler.now t.sched;
     halted = t.halted }
 
@@ -1448,7 +1013,6 @@ let quiescent t =
   && (match t.master_st with Mrun | Mhalted -> true | _ -> false)
   && t.pending_total = 0
 
-let is_quiescent = quiescent
 
 (* Run in small increments until the machine reaches a quiescent point (a
    serial instruction boundary with nothing in flight) or halts. *)

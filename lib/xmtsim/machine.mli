@@ -9,7 +9,7 @@
 
     TCUs may only fetch instructions inside the broadcast spawn-join
     region; violating this (e.g. compiling with the Fig. 9 repair
-    disabled) raises {!Sim_error} — the hardware constraint that makes the
+    disabled) faults the run — the hardware constraint that makes the
     compiler post-pass load-bearing. *)
 
 type t
@@ -24,7 +24,9 @@ type result = {
 
 val create : ?config:Config.t -> Isa.Program.image -> t
 
-(** Run to completion (halt) or until [max_cycles]. *)
+(** Run to completion (halt) or until [max_cycles].  A fault of the
+    simulated program (a bad address, a TCU leaving the spawn region, ...)
+    raises {!Funcmodel.Fault} naming the TCU ([-1]: the master) and pc. *)
 val run : ?max_cycles:int -> t -> result
 
 val config : t -> Config.t
@@ -33,11 +35,8 @@ val output : t -> string
 val cycles : t -> int
 val mem : t -> Mem.t
 
-(** Diagnostics: per-(module, subtree-side) ICN merge backlog (cycles) and
-    per-module input queue depths. *)
+(** Diagnostics: per-(module, subtree-side) ICN merge backlog (cycles). *)
 val icn_backlog : t -> int array array
-
-val module_queue_depths : t -> int array
 
 (** Executed TCU instructions per cluster — the spatial activity behind
     the floorplan visualization and per-cluster power attribution. *)
@@ -82,133 +81,40 @@ val domain_sleeping : t -> domain -> bool
     the [sim.clock.period{domain}] gauge. *)
 val export_clocks : t -> Obs.Metrics.t -> unit
 
-(** [add_activity_plugin t ~name ~interval hook] — [hook t cycle] runs
-    every [interval] cluster-clock cycles during the simulation. *)
-val add_activity_plugin : t -> name:string -> interval:int -> (t -> int -> unit) -> unit
+(** [add_activity_plugin t ~interval hook] — [hook t cycle] runs every
+    [interval] cluster-clock cycles during the simulation.  Activity
+    plug-ins may retune clocks, so the cluster clock stays ungated while
+    one is registered. *)
+val add_activity_plugin : t -> interval:int -> (t -> int -> unit) -> unit
 
-val add_filter_plugin : t -> Plugin.filter -> unit
-val filter_reports : t -> (string * string) list
+(* -------- passive observers (filter plug-ins §III-B, traces §III-E) -------- *)
 
-(** Trace hook: called for every issued instruction.
-    [tcu] is [-1] for the Master TCU. *)
-val on_instr : t -> (tcu:int -> pc:int -> Isa.Instr.t -> time:int -> unit) -> unit
+(** [attach t probe] installs a passive observer and returns the thunk
+    that detaches it.  All attached probes see every hook, in attach
+    order.  Probes observe; they never schedule events, wake clocks or
+    change machine state, so an observed run is bit-identical to an
+    unobserved one: output, cycles, {!Stats.t} and even
+    {!events_processed} (clock gating is untouched).  With nothing
+    attached each hook site costs one option check.  Attaching or
+    detaching between runs, or from inside a callback, is allowed.
 
-(** Like {!on_instr} but returns a detach thunk; consumers with a line
-    limit unhook themselves so the hot loop stops paying for them. *)
-val add_instr_hook :
-  t -> (tcu:int -> pc:int -> Isa.Instr.t -> time:int -> unit) -> unit -> unit
+    The observers themselves live next to their state:
+    {!Profile.probe} (CPI stacks), {!Racedetect.probe} (dynamic race
+    detection), {!Heartbeat.probe} (live telemetry stream),
+    {!Trace.span_probe} (Chrome trace spans), {!Trace.attach} and
+    {!Trace.attach_packages} (text traces) and {!Plugin.probe} (filter
+    plug-ins). *)
+val attach : t -> Probe.t -> unit -> unit
 
-(** Cycle-accurate trace level (§III-E): one event per station a package
-    passes through ("icn-inject", "module-arrive", "cache-hit"/"cache-miss",
-    "dram-fill", "reply"). *)
-type package_event = {
-  pe_time : int;
-  pe_stage : string;
-  pe_kind : string;
-  pe_addr : int;
-  pe_tcu : int;  (** -1 when not attributable (e.g. a line fill) *)
-  pe_pc : int;
-      (** pc of the issuing instruction, so every memory-touching event
-          carries (address, tcu, pc); -1 when not attributable *)
-  pe_module : int;  (** -1 for reply deliveries *)
-}
+(** The loaded program image. *)
+val image : t -> Isa.Program.image
 
-val on_package : t -> (package_event -> unit) -> unit
-
-(** Like {!on_package} but returns a detach thunk. *)
-val add_package_hook : t -> (package_event -> unit) -> unit -> unit
-
-(* -------- dynamic race detection -------- *)
-
-(** Attach a shadow-memory race detector ({!Racedetect}); idempotent —
-    returns the already-attached detector if there is one.  The machine
-    feeds it every shared-memory access at service time (load, prefetch,
-    store, with (address, tcu, pc)) plus acquire/release events at
-    [ps]/[psm] and fence completions.  When no detector is attached the
-    hooks cost one option check ([--racecheck] off = measured-zero
-    overhead, see [bench/exp_racecheck]). *)
-val attach_racecheck : t -> Racedetect.t
-
-val detach_racecheck : t -> unit
-
-(** The attached detector, if any. *)
-val racecheck : t -> Racedetect.t option
-
-(* -------- cycle-accounting profiler (CPI stacks) -------- *)
-
-(** Attach (or return the already-attached) cycle-accounting profiler.
-    From this point on every TCU and master cycle is attributed to one
-    CPI-stack bucket (compute, spawn/join, ICN, cache hit, DRAM,
-    prefetch-covered, fence/ps) and to the PC that caused it.  The
-    profiler is purely passive — it observes state transitions the
-    machine makes anyway — so attaching it never changes cycles, stats
-    or traces (enforced by [test_profile] and a CI determinism step). *)
-val attach_profile : t -> Profile.t
-
-val detach_profile : t -> unit
-
-(** The attached profiler, if any. *)
-val profile : t -> Profile.t option
-
-(** Fold the raw per-cycle accounting into a report: per-TCU /
-    per-cluster / aggregate CPI stacks over the ticks elapsed since
-    attachment, joined with the image's source map ([xmtcc -g]) for
-    per-line and per-function attribution.  [None] if no profiler is
-    attached. *)
-val profile_report : t -> Profile.report option
-
-(* -------- live telemetry streaming (xmt.events.v1) -------- *)
-
-(** Attach an {!Obs.Stream} and emit a [sim.heartbeat] record every
-    [heartbeat_cycles] cluster cycles (default 10000): grid cycle, host
-    events/sec over the window, currently gated domain count and the
-    window's memory-wait fraction, plus a [run.start] record now, a
-    [run.done] summary when the machine halts, and [window.close]
-    rollups every 16 heartbeats.  The producer is passive — it samples
-    counters the run maintains anyway from the cluster clock's existing
-    tick events, never waking a clock or scheduling an event — so a
-    streamed run is bit-identical to an unstreamed one, {e including}
-    the host-side event count (unlike activity plug-ins, clock gating
-    stays untouched; a gated-off machine simply emits no heartbeats
-    while it sleeps).  Must be called before the first {!run}; raises
-    {!Sim_error} afterwards or when a stream is already attached. *)
-val attach_stream : ?heartbeat_cycles:int -> t -> Obs.Stream.t -> unit
-
-val detach_stream : t -> unit
-
-(** The attached stream, if any. *)
-val stream : t -> Obs.Stream.t option
-
-(* -------- span tracing (Chrome trace-event JSON) -------- *)
-
-(** Attach a span tracer.  Simulated activity is emitted on process 1
-    (one thread per TCU, tid = TCU id + 1, the Master TCU on tid 0):
-    spawn/join phases as nested B/E spans, per-TCU memory-wait and
-    thread-run intervals as complete (X) spans, package hops as instant
-    events, and one "mem-req" span per completed memory request covering
-    its outbox -> ICN -> module -> reply round trip (with per-stage
-    durations in the span args).  Timestamps are simulated time units. *)
-val attach_tracer : t -> Obs.Tracer.t -> unit
-
-(** The attached span tracer, if any — activity plug-ins (e.g. the DVFS
-    governor) use it to make their decisions visible in the trace. *)
-val tracer : t -> Obs.Tracer.t option
-
-(** Trace thread id reserved for runtime-control (governor) events. *)
-val trace_tid_governor : t -> int
-
-(** Close spans still open (waiting TCUs, an active spawn) at the current
-    simulated time.  Call once after the final [run], before writing the
-    trace file. *)
-val flush_tracer : t -> unit
+(** Cluster-clock grid ticks elapsed so far, fired or gated away. *)
+val grid_ticks : t -> int
 
 (* -------- checkpoints (§III-E) -------- *)
 
 type snapshot
-
-(** Is the machine at a point where a checkpoint is legal (serial mode,
-    nothing in flight)?  True before the first [run] and after a halt. *)
-val is_quiescent : t -> bool
 
 (** Keep running in small increments until the machine is quiescent or
     halted — used to take the "checkpoint at a user-given point" of

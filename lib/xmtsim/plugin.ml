@@ -1,10 +1,11 @@
 (** Simulation plug-ins (paper §III-B).
 
     {e Filter plug-ins} observe every executed instruction and produce a
-    report at the end of the simulation.  The built-in {!hot_locations}
-    plug-in reproduces the paper's example: a list of the most frequently
-    accessed shared-memory locations, which points the programmer at
-    memory bottlenecks.
+    report at the end of the simulation: attach one with
+    [Machine.attach m (probe f)], read [f.f_report ()] afterwards.  The
+    built-in {!hot_locations} plug-in reproduces the paper's example: a
+    list of the most frequently accessed shared-memory locations, which
+    points the programmer at memory bottlenecks.
 
     {e Activity plug-ins} are registered on the machine with a sampling
     interval; they read the activity counters during the run and may
@@ -13,20 +14,21 @@
 
 type filter = {
   f_name : string;
-  f_on_instr : master:bool -> pc:int -> Isa.Instr.t -> addr:int option -> unit;
+  f_on_instr : tcu:int -> pc:int -> Isa.Instr.t -> addr:int -> unit;
+      (** [tcu] is -1 for the Master TCU, [addr] -1 for non-memory ops *)
   f_report : unit -> string;
 }
+
+let probe f = { Probe.none with issue = f.f_on_instr }
 
 (** Tracks the [top] most frequently accessed memory addresses. *)
 let hot_locations ~top () =
   let counts : (int, int ref) Hashtbl.t = Hashtbl.create 256 in
-  let on_instr ~master:_ ~pc:_ _ins ~addr =
-    match addr with
-    | None -> ()
-    | Some a -> (
-      match Hashtbl.find_opt counts a with
+  let on_instr ~tcu:_ ~pc:_ _ins ~addr =
+    if addr >= 0 then
+      match Hashtbl.find_opt counts addr with
       | Some r -> incr r
-      | None -> Hashtbl.replace counts a (ref 1))
+      | None -> Hashtbl.replace counts addr (ref 1)
   in
   let report () =
     let all = Hashtbl.fold (fun a r acc -> (a, !r) :: acc) counts [] in
@@ -45,37 +47,15 @@ let hot_locations ~top () =
   in
   { f_name = "hot-locations"; f_on_instr = on_instr; f_report = report }
 
-(** Histogram of executed instructions per functional-unit class. *)
-let class_histogram () =
-  let counts = Hashtbl.create 8 in
-  let on_instr ~master:_ ~pc:_ ins ~addr:_ =
-    let c = Isa.Instr.fu_class_of ins in
-    match Hashtbl.find_opt counts c with
-    | Some r -> incr r
-    | None -> Hashtbl.replace counts c (ref 1)
-  in
-  let report () =
-    let lines =
-      List.filter_map
-        (fun c ->
-          match Hashtbl.find_opt counts c with
-          | Some r ->
-            Some (Printf.sprintf "  %-4s %d" (Isa.Instr.fu_class_name c) !r)
-          | None -> None)
-        Isa.Instr.all_fu_classes
-    in
-    String.concat "\n" ("instruction class histogram:" :: lines)
-  in
-  { f_name = "class-histogram"; f_on_instr = on_instr; f_report = report }
-
 (** Execution profile over simulated time (§III-B: "An activity plug-in
     can generate execution profiles of XMTC programs over simulated time,
     showing memory and computation intensive phases").
 
-    Attach with {!attach_profiler}; each sample records the instruction
-    counts by functional-unit class and the TCU memory-wait cycles accrued
-    since the previous sample.  {!render_profile} draws a text timeline
-    where each row is one interval and the bar shows its mix. *)
+    Attach with {!attach_profiler}; each sample records the
+    compute-attributed cycles, the memory operations issued and the TCU
+    memory-wait cycles accrued since the previous sample.
+    {!render_profile} draws a text timeline where each row is one
+    interval and the bar shows its mix. *)
 
 type profile_sample = {
   ps_cycle : int;
@@ -105,6 +85,28 @@ let profile_to_json (p : profiler) =
              ("memwait", Obs.Json.Int s.ps_memwait);
            ])
        (samples_in_order p))
+
+(** Sample the cycle-accounting profiler [prof] (attached with
+    {!Profile.probe}) every [interval] cycles.  It is the single event
+    source: this plug-in is only a windowed view over it, so the timeline
+    and the CPI stacks can never disagree about where the cycles went. *)
+let attach_profiler ?(interval = 1000) m prof =
+  let p = { samples = [] } in
+  let last_c = ref 0 and last_m = ref 0 and last_w = ref 0 in
+  Machine.add_activity_plugin m ~interval (fun _ cycle ->
+      (* compute_cycles counts one cycle per issue (plus FU stalls), so
+         subtracting the memory issues leaves the compute-attributed share *)
+      let mem = Profile.mem_ops prof in
+      let c = Profile.compute_cycles prof - mem in
+      let w = Profile.memwait_cycles prof in
+      p.samples <-
+        { ps_cycle = cycle; ps_compute = c - !last_c; ps_memory = mem - !last_m;
+          ps_memwait = w - !last_w }
+        :: p.samples;
+      last_c := c;
+      last_m := mem;
+      last_w := w);
+  p
 
 let render_profile (p : profiler) =
   let samples = samples_in_order p in

@@ -10,11 +10,10 @@
     ([xmtcc -g]) that yields per-source-line hot-spot tables and a
     flame-style top-down view.
 
-    The profiler is a {e passive observer}: it is driven by single
-    option-checked hooks inside the machine, never schedules events,
-    wakes clocks or touches machine state, so attaching it cannot perturb
-    cycles, stats or traces (enforced by the profile-determinism test and
-    CI step).
+    The profiler is a {e passive observer}: {!probe} feeds it from the
+    machine's probe seam ({!Machine.attach}), so attaching it cannot
+    perturb cycles, stats or traces (enforced by the observer-passivity
+    property test and CI step).
 
     Memory-wait episodes are accounted when the reply arrives: the ticks
     a TCU spent in [Tmemwait] are split across the ICN / cache-hit / DRAM
@@ -49,35 +48,42 @@ let bucket_names =
      "fence_ps" |]
 
 type t = {
+  mach : Machine.t;
   n_tcus : int;
   tcus_per_cluster : int;
   per_tcu : int array array;  (** [tcu].(bucket) cycle counts *)
   master : int array;  (** master TCU bucket cycle counts *)
   pc_cycles : int array;  (** attributed cycles per program counter *)
   last_pc : int array;  (** per TCU: pc of the last issued instruction *)
-  mw_ticks : int array;  (** per TCU: ticks of the open memwait episode *)
+  mw_start : int array;  (** per TCU: grid tick its open memory wait began, or -1 *)
+  fence_start : int array;  (** per TCU: grid tick its open fence wait began, or -1 *)
   mutable master_last_pc : int;
   mutable master_stall : bucket;  (** why the master entered Mstall *)
   mutable mem_ops : int;  (** memory instructions issued (both TCU kinds) *)
   base_ticks : int;  (** cluster-grid ticks already elapsed at attach *)
 }
 
-let create ~n_tcus ~tcus_per_cluster ~n_instrs ~base_ticks =
+(** A profiler for [m], counting from the current cycle on.  Feed it by
+    attaching {!probe}. *)
+let create m =
+  let cfg = Machine.config m in
+  let n_tcus = cfg.Config.num_clusters * cfg.Config.tcus_per_cluster in
+  let n_instrs = Array.length (Machine.image m).Isa.Program.instrs in
   {
+    mach = m;
     n_tcus;
-    tcus_per_cluster;
+    tcus_per_cluster = cfg.Config.tcus_per_cluster;
     per_tcu = Array.init n_tcus (fun _ -> Array.make n_buckets 0);
     master = Array.make n_buckets 0;
     pc_cycles = Array.make (max 1 n_instrs) 0;
     last_pc = Array.make (max 1 n_tcus) (-1);
-    mw_ticks = Array.make (max 1 n_tcus) 0;
+    mw_start = Array.make (max 1 n_tcus) (-1);
+    fence_start = Array.make (max 1 n_tcus) (-1);
     master_last_pc = -1;
     master_stall = Compute;
     mem_ops = 0;
-    base_ticks;
+    base_ticks = Machine.grid_ticks m;
   }
-
-let base_ticks p = p.base_ticks
 
 (* The counters below run once per profiled TCU-cycle, so they avoid
    redundant bounds checks: [bucket_index] is < [n_buckets] (= row
@@ -94,7 +100,7 @@ let count p ~tcu ~pc b n =
   Array.unsafe_set row i (Array.unsafe_get row i + n);
   attribute p ~pc n
 
-(* ---- TCU-side hooks (called from the machine) ---- *)
+(* ---- TCU-side hooks ---- *)
 
 (* per-cycle hooks are hand-flattened (no [count] call) to keep the
    profiled hot path one call deep *)
@@ -102,12 +108,6 @@ let count p ~tcu ~pc b n =
 let tcu_issue p ~tcu ~pc ~mem =
   p.last_pc.(tcu) <- pc;
   if mem then p.mem_ops <- p.mem_ops + 1;
-  let row = p.per_tcu.(tcu) in
-  Array.unsafe_set row 0 (Array.unsafe_get row 0 + 1) (* Compute *);
-  attribute p ~pc 1
-
-(* shared FU busy: the instruction at [pc] retries next cycle *)
-let tcu_stall p ~tcu ~pc =
   let row = p.per_tcu.(tcu) in
   Array.unsafe_set row 0 (Array.unsafe_get row 0 + 1) (* Compute *);
   attribute p ~pc 1
@@ -120,16 +120,21 @@ let tcu_wait p ~tcu b =
   Array.unsafe_set row i (Array.unsafe_get row i + 1);
   attribute p ~pc:p.last_pc.(tcu) 1
 
-let memwait_tick p ~tcu = p.mw_ticks.(tcu) <- p.mw_ticks.(tcu) + 1
-
 (* Close a memory-wait episode.  [icn]/[cache_hit]/[dram] are the
    lifecycle components of the request in simulated time; the episode's
    tick count is split across them with cumulative integer floors, so
    the assigned integers sum exactly to the ticks waited. *)
+(* Ticks a TCU has waited in the open wait that began at grid tick
+   [start] (-1: none): the cycles after the issuing one, up to the current
+   one.  The cluster clock never sleeps during a spawn, so grid ticks are
+   fired ticks here. *)
+let open_ticks p start = if start < 0 then 0 else Machine.grid_ticks p.mach - start
+
 let flush_memwait p ~tcu ~icn ~cache_hit ~dram ~pref =
-  let ticks = p.mw_ticks.(tcu) in
+  (* the reply arrives before the TCU's turn: this cycle is not waited *)
+  let ticks = open_ticks p p.mw_start.(tcu) - 1 in
+  p.mw_start.(tcu) <- -1;
   if ticks > 0 then begin
-    p.mw_ticks.(tcu) <- 0;
     let pc = p.last_pc.(tcu) in
     if pref then count p ~tcu ~pc Prefetch_covered ticks
     else begin
@@ -154,21 +159,72 @@ let master_count p ~pc b n =
   p.master.(i) <- p.master.(i) + n;
   attribute p ~pc n
 
-let master_issue p ~pc ~mem =
-  p.master_last_pc <- pc;
-  if mem then p.mem_ops <- p.mem_ops + 1;
-  master_count p ~pc Compute 1
+(* ---- the probe ---- *)
 
-let master_stall_kind p b = p.master_stall <- b
-let master_wait p = master_count p ~pc:p.master_last_pc p.master_stall 1
-let master_mem p ~ticks =
-  if ticks > 0 then master_count p ~pc:p.master_last_pc Dram ticks
+(* A memory wait ended with the reply whose lifecycle is [lc]: split it
+   into the ICN / cache-hit / DRAM components of the round trip. *)
+let flush_reply p ~tcu (lc : Probe.lifecycle) =
+  let m = p.mach in
+  let now = Machine.cycles m in
+  let hit_lat =
+    (Machine.config m).Config.cache_hit_latency * Machine.period m Machine.Caches
+  in
+  let icn = lc.l_arrive - lc.l_born + (now - lc.l_svc) in
+  let svc = lc.l_svc - lc.l_arrive in
+  let cache_hit = if lc.l_hit then svc else min hit_lat svc in
+  flush_memwait p ~tcu ~icn ~cache_hit ~dram:(svc - cache_hit) ~pref:false
 
-let master_spawn p ~pc ~ticks = if ticks > 0 then master_count p ~pc Spawn_join ticks
-let master_join p ~pc ~ticks = if ticks > 0 then master_count p ~pc Spawn_join ticks
+(** The probe that drives [p].  It observes state transitions the
+    machine makes anyway and, unlike activity plug-ins, leaves clock
+    gating alone. *)
+let probe p =
+  {
+    Probe.none with
+    issue =
+      (fun ~tcu ~pc _ ~addr ->
+        if tcu >= 0 then tcu_issue p ~tcu ~pc ~mem:(addr >= 0)
+        else begin
+          p.master_last_pc <- pc;
+          if addr >= 0 then p.mem_ops <- p.mem_ops + 1;
+          master_count p ~pc Compute 1;
+          (* the master stalls after a multi-cycle ALU op or a slow
+             cache hit; a store never stalls it *)
+          p.master_stall <- (if addr >= 0 then Cache_hit else Compute)
+        end);
+    stall =
+      (fun ~tcu ~pc s ~ticks ->
+        if tcu >= 0 then
+          match s with
+          | Probe.Mem -> p.mw_start.(tcu) <- Machine.grid_ticks p.mach
+          | Fence -> p.fence_start.(tcu) <- Machine.grid_ticks p.mach
+          | Fu_busy -> count p ~tcu ~pc Compute 1 (* [pc] retries next cycle *)
+          | Latency -> tcu_wait p ~tcu Compute
+          | Ps -> tcu_wait p ~tcu Fence_ps
+          | Spawn | Join | Done -> ()
+        else if ticks > 0 then
+          match s with
+          | Probe.Latency -> master_count p ~pc:p.master_last_pc p.master_stall ticks
+          | Mem -> master_count p ~pc:p.master_last_pc Dram ticks
+          | Spawn | Join -> master_count p ~pc Spawn_join ticks
+          | Fu_busy | Ps | Fence | Done -> ());
+    release =
+      (fun ~tcu ->
+        (* drained before the TCU's turn: this cycle is not waited *)
+        let ticks = open_ticks p p.fence_start.(tcu) - 1 in
+        p.fence_start.(tcu) <- -1;
+        if ticks > 0 then count p ~tcu ~pc:p.last_pc.(tcu) Fence_ps ticks);
+    reply =
+      (fun ~tcu ~kind:_ ~addr:_ lc r ->
+        match r with
+        | Probe.Not_waiting -> ()
+        | Resumed -> flush_reply p ~tcu lc
+        | Resumed_by_prefetch ->
+          flush_memwait p ~tcu ~icn:0 ~cache_hit:0 ~dram:0 ~pref:true);
+  }
 
-(* ---- sampling accessors: the interval profiler ({!Profiler}) reads
-   these so both views share one event source ---- *)
+(* ---- sampling accessors: the interval profiler
+   ({!Plugin.attach_profiler}) reads these so both views share one event
+   source ---- *)
 
 let compute_cycles p =
   let c = ref p.master.(bucket_index Compute) in
@@ -187,7 +243,7 @@ let memwait_cycles p =
         + row.(bucket_index Prefetch_covered))
     p.per_tcu;
   (* open episodes count as wait already accrued *)
-  Array.iter (fun w -> c := !c + w) p.mw_ticks;
+  Array.iter (fun start -> c := !c + open_ticks p start) p.mw_start;
   !c
 
 let mem_ops p = p.mem_ops
@@ -219,17 +275,27 @@ type report = {
 
 let sum_row buckets total = { r_buckets = buckets; r_idle = total - Array.fold_left ( + ) 0 buckets }
 
-let report p ~total_ticks ~(locs : (int * string) option array) =
+(** Fold the accounting so far into a report: CPI stacks over the ticks
+    elapsed since {!create}, joined with the image's source map
+    ([xmtcc -g]) for per-line and per-function attribution. *)
+let report p =
+  let total_ticks = Machine.grid_ticks p.mach - p.base_ticks in
+  let locs = (Machine.image p.mach).Isa.Program.locs in
   (* a run cut off mid-wait leaves open episodes; close them into the ICN
      bucket (the request is somewhere in transit) so non-idle cycles
      never silently vanish *)
-  Array.iteri
-    (fun tcu w ->
-      if w > 0 then begin
-        p.mw_ticks.(tcu) <- 0;
-        count p ~tcu ~pc:p.last_pc.(tcu) Icn w
-      end)
-    p.mw_ticks;
+  let close starts b =
+    Array.iteri
+      (fun tcu start ->
+        let w = open_ticks p start in
+        if w > 0 then begin
+          starts.(tcu) <- Machine.grid_ticks p.mach;
+          count p ~tcu ~pc:p.last_pc.(tcu) b w
+        end)
+      starts
+  in
+  close p.mw_start Icn;
+  close p.fence_start Fence_ps;
   let total = max 0 total_ticks in
   let tcus = Array.map (fun b -> sum_row (Array.copy b) total) p.per_tcu in
   let n_clusters =

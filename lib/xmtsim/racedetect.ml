@@ -23,8 +23,8 @@
 
     Races are deduplicated on (address, kind, pc of each side) with an
     occurrence count, and reported deterministically sorted.  The
-    detector is detachable and every hook is guarded by an option check
-    in the machine, so a run without it pays nothing. *)
+    detector is a machine probe ({!Machine.attach}): detachable, and a run
+    without it pays nothing. *)
 
 (* growable sorted int vector (sequence numbers are appended in
    increasing order, so pushes keep it sorted) *)
@@ -103,10 +103,10 @@ let vec_of tbl tcu =
     v
 
 let on_release t ~tcu = push (vec_of t.releases tcu) (next_seq t)
-let on_acquire t ~tcu = push (vec_of t.acquires tcu) (next_seq t)
 
+(* a ps/psm is an acquire and a release *)
 let on_sync t ~tcu =
-  on_acquire t ~tcu;
+  push (vec_of t.acquires tcu) (next_seq t);
   on_release t ~tcu
 
 (* New spawn region: fresh epoch, fresh shadow.  Sequence numbers stay
@@ -158,24 +158,31 @@ let check t prior ~kind ~tcu ~pc ~addr ~time ~seq =
       report t ~kind o ~tcu ~pc ~addr ~time
   | _ -> ()
 
-let on_read t ~tcu ~pc ~addr ~time =
+let on_access t ~tcu ~pc ~addr ~write ~time =
   t.events <- t.events + 1;
   let seq = next_seq t in
   let c = cell_of t addr in
-  check t c.writer ~kind:"read-write" ~tcu ~pc ~addr ~time ~seq;
+  let kind = if write then "write-write" else "read-write" in
+  check t c.writer ~kind ~tcu ~pc ~addr ~time ~seq;
   let o = { o_tcu = tcu; o_pc = pc; o_time = time; o_seq = seq } in
-  c.readers <- (tcu, o) :: List.remove_assoc tcu c.readers
+  if write then begin
+    List.iter
+      (fun (_, r) -> check t (Some r) ~kind:"read-write" ~tcu ~pc ~addr ~time ~seq)
+      c.readers;
+    c.writer <- Some o;
+    c.readers <- []
+  end
+  else c.readers <- (tcu, o) :: List.remove_assoc tcu c.readers
 
-let on_write t ~tcu ~pc ~addr ~time =
-  t.events <- t.events + 1;
-  let seq = next_seq t in
-  let c = cell_of t addr in
-  check t c.writer ~kind:"write-write" ~tcu ~pc ~addr ~time ~seq;
-  List.iter
-    (fun (_, o) -> check t (Some o) ~kind:"read-write" ~tcu ~pc ~addr ~time ~seq)
-    c.readers;
-  c.writer <- Some { o_tcu = tcu; o_pc = pc; o_time = time; o_seq = seq };
-  c.readers <- []
+let probe m t =
+  {
+    Probe.none with
+    access =
+      (fun ~tcu ~pc ~addr ~write -> on_access t ~tcu ~pc ~addr ~write ~time:(Machine.cycles m));
+    sync = (fun ~tcu -> on_sync t ~tcu);
+    release = (fun ~tcu -> on_release t ~tcu);
+    spawn = (fun ~lo:_ ~hi:_ -> on_spawn t);
+  }
 
 let races t =
   let rs = Hashtbl.fold (fun _ r acc -> r :: acc) t.found [] in

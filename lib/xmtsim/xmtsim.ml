@@ -7,7 +7,9 @@
     global prefix-sum unit and the spawn-join mechanism), driven by the
     execution-driven {!Funcmodel}.  {!Functional_mode} is the fast
     serializing mode.  {!Stats}, {!Plugin} and {!Trace} provide the
-    counters, filter/activity plug-ins and traces of §III-B/E; {!Power},
+    counters, filter/activity plug-ins and traces of §III-B/E; every
+    passive observer ({!Profile}, {!Racedetect}, {!Heartbeat}, traces,
+    filters) is a {!Probe} installed with {!Machine.attach}; {!Power},
     {!Thermal} and {!Floorplan} the §III-F power/temperature stack;
     {!Machine.checkpoint} the §III-E checkpoints. *)
 
@@ -17,11 +19,12 @@ module Funcmodel = Funcmodel
 module Stats = Stats
 module Tags = Tags
 module Prefetch_buffer = Prefetch_buffer
+module Probe = Probe
+module Machine = Machine
 module Plugin = Plugin
 module Racedetect = Racedetect
 module Profile = Profile
-module Profiler = Profiler
-module Machine = Machine
+module Heartbeat = Heartbeat
 module Functional_mode = Functional_mode
 module Reuseprofile = Reuseprofile
 module Phase_sampling = Phase_sampling

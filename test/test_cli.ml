@@ -18,10 +18,10 @@ let xmtcc = bin "xmtcc.exe"
 (* a program with no program output, so stdout can carry pure JSON *)
 let quiet_src = "int A[8]; int main(void) { spawn(0, 7) { A[$] = $; } return 0; }"
 
-let with_src f =
+let with_src ?(src = quiet_src) f =
   let path = Filename.temp_file "xmtcli" ".c" in
   let oc = open_out path in
-  output_string oc quiet_src;
+  output_string oc src;
   close_out oc;
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
@@ -314,6 +314,24 @@ let connect_refused_exits_3 () =
       Tu.check_int "exit 3" 3 code;
       Tu.check_bool "mentions xmtserved" true (contains "xmtserved" err))
 
+(* an out-of-range store, serial and inside a spawn, in both modes: a
+   diagnostic naming the TCU, pc and source line, exit 4, no crash *)
+let faults_are_diagnostics () =
+  let serial = "int A[16];\nint main(void) {\n  A[100000000] = 1;\n  return 0;\n}\n"
+  and spawned =
+    "int A[16];\nint main(void) {\n  spawn(0, 3) {\n    A[$ * 100000000] = 1;\n  }\n  return 0;\n}\n"
+  in
+  List.iter
+    (fun (src, line, mode, who) ->
+      with_src ~src (fun path ->
+          let code, _, err = run_cmd ([ xmtsim; path ] @ mode) in
+          Tu.check_int (who ^ ": exit 4") 4 code;
+          List.iter
+            (fun s -> Tu.check_bool (who ^ ": mentions " ^ s) true (contains s err))
+            [ "xmtsim: simulation fault: " ^ who; ", pc "; Printf.sprintf "%s:%d)" path line ]))
+    [ (serial, 3, [], "MTCU"); (serial, 3, [ "--functional" ], "MTCU");
+      (spawned, 4, [], "TCU"); (spawned, 4, [ "--functional" ], "thread") ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -325,6 +343,7 @@ let () =
           Tu.tc "timings-json to stdout" timings_json_to_stdout;
           Tu.tc "functional stats export works" functional_stats_json_still_works;
         ] );
+      ("faults", [ Tu.tc "simulation faults are diagnostics" faults_are_diagnostics ]);
       ( "export",
         [
           Tu.tc "--export stats=- to stdout" export_flag_to_stdout;

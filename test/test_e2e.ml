@@ -256,6 +256,11 @@ int main(void) {
   (* sum (i^2 + 1) for i in 0..4 = 30 + 5 = 35 *)
   Tu.expect_output ~config:C.tiny "malloc" "35" src
 
+(* auto-zeroed memory is 0.0 when loaded as a float *)
+let zeroed_float () =
+  Tu.expect_output ~config:C.tiny "zeroed float" "1.5"
+    "float f; int main(void) { f = f + 1.5; print_float(f); return 0; }"
+
 let control_flow_in_spawn () =
   let src = {|
 int A[64];
@@ -545,6 +550,7 @@ let () =
         [
           Tu.tc "nested spawn serialized" serialized_nested_spawn;
           Tu.tc "malloc" malloc_and_pointers;
+          Tu.tc "zero-initialised float" zeroed_float;
           Tu.tc "recursion" recursion_works;
           Tu.tc "2-D arrays" multidim_arrays;
           Tu.tc "structs" structs_end_to_end;

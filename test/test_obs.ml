@@ -520,10 +520,11 @@ let machine_trace_e2e () =
   let compiled = Core.Toolchain.compile ~memmap src in
   let m = Core.Toolchain.machine ~config:Xmtsim.Config.tiny compiled in
   let tr = T.create () in
-  Xmtsim.Machine.attach_tracer m tr;
+  let spans = Xmtsim.Trace.spans m tr in
+  ignore (Xmtsim.Machine.attach m (Xmtsim.Trace.span_probe spans) : unit -> unit);
   let r = Xmtsim.Machine.run m in
   Tu.check_bool "halted" true r.Xmtsim.Machine.halted;
-  Xmtsim.Machine.flush_tracer m;
+  Xmtsim.Trace.flush_spans spans;
   let events = trace_events_of_string (T.to_string tr) in
   check_trace_invariants "machine trace" events;
   let phs = List.filter_map (fun e -> J.to_str (Option.get (J.member "ph" e))) events in
@@ -535,7 +536,9 @@ let profiler_order_and_json () =
   let memmap = Isa.Memmap.of_ints [ ("A", Array.make 32 1) ] in
   let compiled = Core.Toolchain.compile ~memmap src in
   let m = Core.Toolchain.machine ~config:Xmtsim.Config.tiny compiled in
-  let p = Xmtsim.Profiler.attach ~interval:50 m in
+  let prof = Xmtsim.Profile.create m in
+  ignore (Xmtsim.Machine.attach m (Xmtsim.Profile.probe prof) : unit -> unit);
+  let p = Xmtsim.Plugin.attach_profiler ~interval:50 m prof in
   let _ = Xmtsim.Machine.run m in
   let samples = Xmtsim.Plugin.samples_in_order p in
   Tu.check_bool "has samples" true (List.length samples >= 2);
@@ -549,21 +552,6 @@ let profiler_order_and_json () =
     in
     Tu.check_bool "json same order" true (jcycles = cycles)
   | _ -> Alcotest.fail "profile_to_json not a list"
-
-let trace_limit_detaches () =
-  let memmap = Isa.Memmap.of_ints [ ("A", Array.make 32 1) ] in
-  let compiled = Core.Toolchain.compile ~memmap src in
-  let m = Core.Toolchain.machine ~config:Xmtsim.Config.tiny compiled in
-  let buf = Buffer.create 256 in
-  Xmtsim.Trace.attach
-    ~filter:{ Xmtsim.Trace.all with Xmtsim.Trace.limit = 5 }
-    m
-    (Buffer.add_string buf);
-  let _ = Xmtsim.Machine.run m in
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Buffer.contents buf))
-  in
-  Tu.check_int "exactly limit lines" 5 (List.length lines)
 
 let trace_detach_then_reattach () =
   let memmap = Isa.Memmap.of_ints [ ("A", Array.make 32 1) ] in
@@ -653,7 +641,6 @@ let () =
           Tu.tc "latency histograms e2e" latency_histograms_e2e;
           Tu.tc "machine trace e2e" machine_trace_e2e;
           Tu.tc "profiler order + json" profiler_order_and_json;
-          Tu.tc "trace limit detaches" trace_limit_detaches;
           Tu.tc "trace detach then re-attach" trace_detach_then_reattach;
           Tu.tc "compiler pass timings" compiler_timings;
         ] );

@@ -232,6 +232,79 @@ let prop_clustering_invariant =
       in
       r.Core.Toolchain.output = string_of_int (Core.Reference.sum a))
 
+(* ------------------------------------------------------------------ *)
+(* Observer passivity: every subset of the passive observers leaves the
+   run bit-identical to the unobserved one, gated or not. *)
+
+(* together these reach every hook: the publication kernel's TCUs wait
+   on ps, psm, fences, memory and busy dividers; the master waits on DRAM
+   misses (the clocks sleep) and on multiplies *)
+let kernels =
+  [ ("publication", Core.Kernels.publication ~n:32);
+    ("ser_mem", Core.Kernels.ser_mem ~iters:150 ~n:512);
+    ("ser_comp", Core.Kernels.ser_comp ~iters:100) ]
+
+let observers =
+  let probe make m = ignore (Xmtsim.Machine.attach m (make m) : unit -> unit) in
+  let stream () = Obs.Stream.create (Obs.Stream.null_sink ()) in
+  [ ("profile", probe (fun m -> Xmtsim.Profile.(probe (create m))));
+    ("racecheck", probe (fun m -> Xmtsim.Racedetect.(probe m (create ()))));
+    ("stream", probe (fun m -> Xmtsim.Heartbeat.probe ~heartbeat_cycles:20 m (stream ())));
+    ("spans", probe (fun m -> Xmtsim.Trace.(span_probe (spans m (Obs.Tracer.create ())))));
+    ("trace", fun m -> Xmtsim.Trace.attach m ignore);
+    ("packages", fun m -> Xmtsim.Trace.attach_packages m ignore);
+    ("hot", probe (fun _ -> Xmtsim.Plugin.(probe (hot_locations ~top:5 ())))) ]
+
+let observed_run compiled ~gating attach =
+  let m = Xmtsim.Machine.create ~config compiled.Core.Toolchain.image in
+  Xmtsim.Machine.set_gating m gating;
+  attach m;
+  let r = Xmtsim.Machine.run m in
+  (r, Xmtsim.Machine.stats m, Xmtsim.Machine.events_processed m)
+
+let check_same what (r0, s0, e0) (r, s, e) =
+  Tu.check_string (what ^ ": output") r0.Xmtsim.Machine.output r.Xmtsim.Machine.output;
+  Tu.check_int (what ^ ": cycles") r0.Xmtsim.Machine.cycles r.Xmtsim.Machine.cycles;
+  Tu.check_bool (what ^ ": halted") true r.Xmtsim.Machine.halted;
+  Tu.check_bool (what ^ ": stats") true (s0 = s);
+  Tu.check_int (what ^ ": host events") e0 e
+
+let observers_are_passive () =
+  let n = List.length observers in
+  List.iter
+    (fun (kname, src) ->
+      let compiled = Core.Toolchain.compile src in
+      List.iter
+        (fun gating ->
+          let plain = observed_run compiled ~gating ignore in
+          for mask = 1 to (1 lsl n) - 1 do
+            let chosen = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) observers in
+            let what =
+              Printf.sprintf "%s, gating %b, {%s}" kname gating
+                (String.concat "," (List.map fst chosen))
+            in
+            check_same what plain
+              (observed_run compiled ~gating (fun m ->
+                   List.iter (fun (_, attach) -> attach m) chosen))
+          done)
+        [ true; false ])
+    kernels
+
+(* a trace that reaches its limit detaches itself mid-run, next to
+   observers that stay attached *)
+let detach_mid_run () =
+  let compiled = Core.Toolchain.compile (List.assoc "publication" kernels) in
+  let instrs = ref 0 and packages = ref 0 in
+  check_same "limited traces among others"
+    (observed_run compiled ~gating:true ignore)
+    (observed_run compiled ~gating:true (fun m ->
+         List.iter (fun (_, attach) -> attach m) observers;
+         Xmtsim.Trace.attach ~filter:{ Xmtsim.Trace.all with Xmtsim.Trace.limit = 5 } m
+           (fun _ -> incr instrs);
+         Xmtsim.Trace.attach_packages ~limit:7 m (fun _ -> incr packages)));
+  Tu.check_int "instruction trace stopped at its limit" 5 !instrs;
+  Tu.check_int "package trace stopped at its limit" 7 !packages
+
 let () =
   Alcotest.run "props"
     [
@@ -250,4 +323,9 @@ let () =
       ( "isa",
         List.map QCheck_alcotest.to_alcotest
           [ prop_asm_roundtrip; prop_wrap32; prop_wrap32_idempotent ] );
+      ( "observers",
+        [
+          Tu.tc "every subset is passive" observers_are_passive;
+          Tu.tc "detach mid-run (trace limit)" detach_mid_run;
+        ] );
     ]

@@ -283,7 +283,8 @@ Ld:
 |}
   in
   match Tu.run_asm asm with
-  | exception M.Sim_error msg ->
+  | exception Xmtsim.Funcmodel.Fault { tcu; msg; _ } ->
+    Tu.check_bool "names the TCU" true (tcu >= 0);
     Tu.check_bool "mentions 0 or 1" true
       (let re = "0 or 1" in
        let rec find i =
@@ -344,7 +345,7 @@ Outside:
 |}
   in
   match Tu.run_asm asm with
-  | exception M.Sim_error _ -> ()
+  | exception Xmtsim.Funcmodel.Fault { tcu; _ } -> Tu.check_bool "names the TCU" true (tcu >= 0)
   | _ -> Alcotest.fail "expected broadcast region violation"
 
 let asm_lwro_uses_rocache () =
@@ -476,20 +477,18 @@ let filter_plugin_hot_locations () =
   let src = Core.Kernels.reduce_psm ~n:32 in
   let compiled = Core.Toolchain.compile src in
   let m = Core.Toolchain.machine ~config:C.tiny compiled in
-  M.add_filter_plugin m (Xmtsim.Plugin.hot_locations ~top:3 ());
+  let f = Xmtsim.Plugin.hot_locations ~top:3 () in
+  ignore (M.attach m (Xmtsim.Plugin.probe f) : unit -> unit);
   ignore (M.run m);
-  match M.filter_reports m with
-  | [ (name, report) ] ->
-    Tu.check_string "name" "hot-locations" name;
-    Tu.check_bool "has content" true (String.length report > 20)
-  | _ -> Alcotest.fail "expected one report"
+  Tu.check_string "name" "hot-locations" f.Xmtsim.Plugin.f_name;
+  Tu.check_bool "has content" true (String.length (f.Xmtsim.Plugin.f_report ()) > 20)
 
 let activity_plugin_called () =
   let src = Core.Kernels.vecadd ~n:64 in
   let compiled = Core.Toolchain.compile src in
   let m = Core.Toolchain.machine ~config:C.tiny compiled in
   let samples = ref 0 in
-  M.add_activity_plugin m ~name:"probe" ~interval:50 (fun _ _ -> incr samples);
+  M.add_activity_plugin m ~interval:50 (fun _ _ -> incr samples);
   ignore (M.run m);
   Tu.check_bool "sampled" true (!samples > 0)
 
@@ -516,9 +515,10 @@ let package_trace_stations () =
   let img = Isa.Program.resolve (Isa.Asm.parse asm) in
   let m = M.create ~config:C.tiny img in
   let stages = ref [] in
-  M.on_package m (fun ev ->
-      if ev.M.pe_kind = "load" || ev.M.pe_stage = "dram-fill" then
-        stages := ev.M.pe_stage :: !stages);
+  let station ~stage ~kind ~addr:_ ~tcu:_ ~pc:_ ~module_:_ =
+    if kind = "load" || stage = "dram-fill" then stages := stage :: !stages
+  in
+  ignore (M.attach m { Xmtsim.Probe.none with station } : unit -> unit);
   ignore (M.run m);
   let order = List.rev !stages in
   (* the first load is a cold miss: inject -> arrive -> miss -> fill -> reply *)
@@ -669,8 +669,9 @@ let governor_throttles_and_logs () =
   let compiled = Core.Toolchain.compile ~memmap src in
   let m = Core.Toolchain.machine ~config:C.tiny compiled in
   let tr = Obs.Tracer.create () in
-  M.attach_tracer m tr;
-  let g = Xmtsim.Governor.attach ~temp_hi:1.0 ~interval:40 m in
+  let spans = Xmtsim.Trace.spans m tr in
+  ignore (M.attach m (Xmtsim.Trace.span_probe spans) : unit -> unit);
+  let g = Xmtsim.Governor.attach ~temp_hi:1.0 ~tracer:spans ~interval:40 m in
   let base = M.period m M.Clusters in
   let r = M.run m in
   Tu.check_bool "halted" true r.M.halted;
@@ -702,7 +703,7 @@ let governor_throttles_and_logs () =
     Tu.check_int "json decisions" (List.length ds) (List.length l)
   | _ -> Alcotest.fail "no decisions list in governor json");
   (* trace: governor instants present on the governor thread *)
-  M.flush_tracer m;
+  Xmtsim.Trace.flush_spans spans;
   match Obs.Json.of_string (Obs.Tracer.to_string tr) with
   | Obs.Json.List events ->
     let gov_events =
@@ -718,7 +719,7 @@ let governor_throttles_and_logs () =
       (fun e ->
         Tu.check_bool "on governor tid" true
           (Obs.Json.member "tid" e
-          = Some (Obs.Json.Int (M.trace_tid_governor m))))
+          = Some (Obs.Json.Int (Xmtsim.Trace.governor_tid spans))))
       gov_events
   | _ -> Alcotest.fail "trace not a list"
 
@@ -757,7 +758,7 @@ int main(void) {
   let m = Core.Toolchain.machine ~config:C.fpga64 compiled in
   let p = Xmtsim.Power.create m in
   let last = ref [||] in
-  M.add_activity_plugin m ~name:"probe" ~interval:200 (fun _ _ ->
+  M.add_activity_plugin m ~interval:200 (fun _ _ ->
       last := Xmtsim.Power.sample p);
   ignore (M.run m);
   let act = M.cluster_activity m in
@@ -775,7 +776,7 @@ let power_sampling () =
   let m = Core.Toolchain.machine ~config:C.fpga64 compiled in
   let p = Xmtsim.Power.create m in
   let totals = ref [] in
-  M.add_activity_plugin m ~name:"power" ~interval:100 (fun _ _ ->
+  M.add_activity_plugin m ~interval:100 (fun _ _ ->
       ignore (Xmtsim.Power.sample p);
       totals := Xmtsim.Power.total p :: !totals);
   ignore (M.run m);
@@ -833,7 +834,9 @@ int main(void) {
 |} in
   let compiled = Core.Toolchain.compile src in
   let m = Core.Toolchain.machine ~config:C.fpga64 compiled in
-  let p = Xmtsim.Profiler.attach ~interval:500 m in
+  let prof = Xmtsim.Profile.create m in
+  ignore (M.attach m (Xmtsim.Profile.probe prof) : unit -> unit);
+  let p = Xmtsim.Plugin.attach_profiler ~interval:500 m prof in
   ignore (M.run m);
   let rendered = Xmtsim.Plugin.render_profile p in
   let has sub =
@@ -855,7 +858,7 @@ let dvfs_from_activity_plugin () =
     (Core.Toolchain.run_cycle ~config:C.tiny compiled).Core.Toolchain.cycles
   in
   let m = Core.Toolchain.machine ~config:C.tiny compiled in
-  M.add_activity_plugin m ~name:"throttle" ~interval:200 (fun m _ ->
+  M.add_activity_plugin m ~interval:200 (fun m _ ->
       M.set_period m M.Clusters 3);
   let r = M.run m in
   Tu.check_bool
