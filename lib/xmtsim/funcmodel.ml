@@ -43,21 +43,22 @@ type issue =
   | Halt
   | Output of string
 
+(* Register and pc helpers of [issue]: top-level, so an issue builds no
+   closures. *)
+let r ctx i = if i = 0 then 0 else ctx.regs.(i)
+let w ctx i v = if i <> 0 then ctx.regs.(i) <- V.wrap32 v
+let next ctx pc = ctx.pc <- pc + 1
+let jump ctx pc t = if t < 0 then err pc "unresolved branch target" else ctx.pc <- t
+
 let issue (img : Isa.Program.image) ctx ~read_str : issue =
   let pc = ctx.pc in
   let n = Array.length img.Isa.Program.instrs in
   if pc < 0 || pc >= n then err pc "program counter out of range";
   let ins = img.Isa.Program.instrs.(pc) in
   let tgt = img.Isa.Program.targets.(pc) in
-  let r i = if i = 0 then 0 else ctx.regs.(i) in
-  let w i v = if i <> 0 then ctx.regs.(i) <- V.wrap32 v in
-  let f i = ctx.fregs.(i) in
-  let wf i v = ctx.fregs.(i) <- v in
-  let next () = ctx.pc <- pc + 1 in
-  let jump t = if t < 0 then err pc "unresolved branch target" else ctx.pc <- t in
   match ins with
   | I.Alu (op, rd, rs, rt) ->
-    let a = r rs and b = r rt in
+    let a = r ctx rs and b = r ctx rt in
     let v =
       match op with
       | I.Add -> a + b
@@ -69,11 +70,11 @@ let issue (img : Isa.Program.image) ctx ~read_str : issue =
       | I.Slt -> Bool.to_int (a < b)
       | I.Sltu -> Bool.to_int (a land 0xFFFFFFFF < b land 0xFFFFFFFF)
     in
-    w rd v;
-    next ();
+    w ctx rd v;
+    next ctx pc;
     Done
   | I.Alui (op, rd, rs, imm) ->
-    let a = r rs in
+    let a = r ctx rs in
     let v =
       match op with
       | I.Addi -> a + imm
@@ -82,53 +83,53 @@ let issue (img : Isa.Program.image) ctx ~read_str : issue =
       | I.Xori -> a lxor imm
       | I.Slti -> Bool.to_int (a < imm)
     in
-    w rd v;
-    next ();
+    w ctx rd v;
+    next ctx pc;
     Done
   | I.Li (rd, imm) ->
-    w rd imm;
-    next ();
+    w ctx rd imm;
+    next ctx pc;
     Done
   | I.La (rd, _) ->
     if tgt < 0 then err pc "unresolved la";
-    w rd tgt;
-    next ();
+    w ctx rd tgt;
+    next ctx pc;
     Done
   | I.Sft (op, rd, rs, rt) ->
-    let a = r rs and s = r rt land 31 in
+    let a = r ctx rs and s = r ctx rt land 31 in
     let v =
       match op with
       | I.Sll -> a lsl s
       | I.Srl -> (a land 0xFFFFFFFF) lsr s
       | I.Sra -> a asr s
     in
-    w rd v;
-    next ();
+    w ctx rd v;
+    next ctx pc;
     Done
   | I.Sfti (op, rd, rs, imm) ->
-    let a = r rs and s = imm land 31 in
+    let a = r ctx rs and s = imm land 31 in
     let v =
       match op with
       | I.Sll -> a lsl s
       | I.Srl -> (a land 0xFFFFFFFF) lsr s
       | I.Sra -> a asr s
     in
-    w rd v;
-    next ();
+    w ctx rd v;
+    next ctx pc;
     Done
   | I.Mdu (op, rd, rs, rt) ->
-    let a = r rs and b = r rt in
+    let a = r ctx rs and b = r ctx rt in
     let v =
       match op with
       | I.Mul -> a * b
       | I.Div -> if b = 0 then err pc "division by zero" else a / b
       | I.Rem -> if b = 0 then err pc "division by zero" else a mod b
     in
-    w rd v;
-    next ();
+    w ctx rd v;
+    next ctx pc;
     Done
   | I.Fpu (op, fd, fs, ft) ->
-    let a = f fs and b = f ft in
+    let a = ctx.fregs.(fs) and b = ctx.fregs.(ft) in
     let v =
       match op with
       | I.Fadd -> a +. b
@@ -136,11 +137,11 @@ let issue (img : Isa.Program.image) ctx ~read_str : issue =
       | I.Fmul -> a *. b
       | I.Fdiv -> a /. b
     in
-    wf fd v;
-    next ();
+    ctx.fregs.(fd) <- v;
+    next ctx pc;
     Done
   | I.Fpu1 (op, fd, fs) ->
-    let a = f fs in
+    let a = ctx.fregs.(fs) in
     let v =
       match op with
       | I.Fneg -> -.a
@@ -148,59 +149,60 @@ let issue (img : Isa.Program.image) ctx ~read_str : issue =
       | I.Fsqrt -> sqrt a
       | I.Fmov -> a
     in
-    wf fd v;
-    next ();
+    ctx.fregs.(fd) <- v;
+    next ctx pc;
     Done
   | I.Fcmp (op, rd, fs, ft) ->
-    let a = f fs and b = f ft in
+    let a = ctx.fregs.(fs) and b = ctx.fregs.(ft) in
     let v =
       match op with I.Feq -> a = b | I.Flt -> a < b | I.Fle -> a <= b
     in
-    w rd (Bool.to_int v);
-    next ();
+    w ctx rd (Bool.to_int v);
+    next ctx pc;
     Done
   | I.Cvt_i2f (fd, rs) ->
-    wf fd (float_of_int (r rs));
-    next ();
+    ctx.fregs.(fd) <- float_of_int (r ctx rs);
+    next ctx pc;
     Done
   | I.Cvt_f2i (rd, fs) ->
-    w rd (int_of_float (f fs));
-    next ();
+    w ctx rd (int_of_float ctx.fregs.(fs));
+    next ctx pc;
     Done
   | I.Fli (fd, x) ->
-    wf fd x;
-    next ();
+    ctx.fregs.(fd) <- x;
+    next ctx pc;
     Done
   | I.Lw (rt, off, rs) ->
-    next ();
-    Load { dst = `I rt; addr = r rs + off; ro = false }
+    next ctx pc;
+    Load { dst = `I rt; addr = r ctx rs + off; ro = false }
   | I.Lwro (rt, off, rs) ->
-    next ();
-    Load { dst = `I rt; addr = r rs + off; ro = true }
+    next ctx pc;
+    Load { dst = `I rt; addr = r ctx rs + off; ro = true }
   | I.Flw (ft, off, rs) ->
-    next ();
-    Load { dst = `F ft; addr = r rs + off; ro = false }
+    next ctx pc;
+    Load { dst = `F ft; addr = r ctx rs + off; ro = false }
   | I.Sw (rt, off, rs) ->
-    next ();
-    Store { addr = r rs + off; value = V.int (r rt); nb = false }
+    next ctx pc;
+    Store { addr = r ctx rs + off; value = V.int (r ctx rt); nb = false }
   | I.Swnb (rt, off, rs) ->
-    next ();
-    Store { addr = r rs + off; value = V.int (r rt); nb = true }
+    next ctx pc;
+    Store { addr = r ctx rs + off; value = V.int (r ctx rt); nb = true }
   | I.Fsw (ft, off, rs) ->
-    next ();
-    Store { addr = r rs + off; value = V.flt (f ft); nb = false }
+    next ctx pc;
+    Store { addr = r ctx rs + off; value = V.flt ctx.fregs.(ft); nb = false }
   | I.Pref (off, rs) ->
-    next ();
-    Prefetch { addr = r rs + off }
+    next ctx pc;
+    Prefetch { addr = r ctx rs + off }
   | I.Psm (rd, off, rs) ->
-    next ();
-    Psm { dst = rd; addr = r rs + off; inc = r rd }
+    next ctx pc;
+    Psm { dst = rd; addr = r ctx rs + off; inc = r ctx rd }
   | I.Br (op, rs, rt, _) ->
-    let taken = match op with I.Beq -> r rs = r rt | I.Bne -> r rs <> r rt in
-    if taken then jump tgt else next ();
+    let a = r ctx rs and b = r ctx rt in
+    let taken = match op with I.Beq -> a = b | I.Bne -> a <> b in
+    if taken then jump ctx pc tgt else next ctx pc;
     Done
   | I.Brz (op, rs, _) ->
-    let a = r rs in
+    let a = r ctx rs in
     let taken =
       match op with
       | I.Blez -> a <= 0
@@ -210,51 +212,51 @@ let issue (img : Isa.Program.image) ctx ~read_str : issue =
       | I.Beqz -> a = 0
       | I.Bnez -> a <> 0
     in
-    if taken then jump tgt else next ();
+    if taken then jump ctx pc tgt else next ctx pc;
     Done
   | I.J _ ->
-    jump tgt;
+    jump ctx pc tgt;
     Done
   | I.Jal _ ->
-    w Isa.Reg.ra (pc + 1);
-    jump tgt;
+    w ctx Isa.Reg.ra (pc + 1);
+    jump ctx pc tgt;
     Done
   | I.Jr rs ->
-    ctx.pc <- r rs;
+    ctx.pc <- r ctx rs;
     Done
   | I.Spawn (rl, rh) ->
-    next ();
-    Spawn { lo = r rl; hi = r rh }
+    next ctx pc;
+    Spawn { lo = r ctx rl; hi = r ctx rh }
   | I.Join ->
-    next ();
+    next ctx pc;
     Join
   | I.Ps (rd, g) ->
-    next ();
-    Ps { dst = rd; g; inc = r rd }
+    next ctx pc;
+    Ps { dst = rd; g; inc = r ctx rd }
   | I.Chkid rd ->
-    next ();
-    Chkid { id = r rd }
+    next ctx pc;
+    Chkid { id = r ctx rd }
   | I.Mfg (rd, g) ->
-    next ();
+    next ctx pc;
     Mfg { dst = rd; g }
   | I.Mtg (g, rs) ->
-    next ();
-    Mtg { g; src = r rs }
+    next ctx pc;
+    Mtg { g; src = r ctx rs }
   | I.Fence ->
-    next ();
+    next ctx pc;
     Fence
   | I.Sys (op, reg) ->
-    next ();
+    next ctx pc;
     let s =
       match op with
-      | I.Print_int -> string_of_int (r reg)
-      | I.Print_float -> Printf.sprintf "%g" (f reg)
-      | I.Print_char -> String.make 1 (Char.chr (r reg land 0xFF))
-      | I.Print_str -> read_str (r reg)
+      | I.Print_int -> string_of_int (r ctx reg)
+      | I.Print_float -> Printf.sprintf "%g" ctx.fregs.(reg)
+      | I.Print_char -> String.make 1 (Char.chr (r ctx reg land 0xFF))
+      | I.Print_str -> read_str (r ctx reg)
     in
     Output s
   | I.Halt ->
-    next ();
+    next ctx pc;
     Halt
 
 let complete_load ctx dst v =

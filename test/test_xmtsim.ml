@@ -120,6 +120,78 @@ let mem_faults () =
   | exception Xmtsim.Mem.Fault _ -> ()
   | _ -> Alcotest.fail "expected unmapped fault"
 
+let mem_fault name f =
+  match f () with
+  | exception Xmtsim.Mem.Fault _ -> ()
+  | _ -> Alcotest.fail ("expected a fault: " ^ name)
+
+let mem_stack_grows () =
+  (* the stack is allocated on demand, from stack_top down *)
+  let img = Isa.Program.resolve (Isa.Asm.parse "main: halt") in
+  let m = Xmtsim.Mem.load img in
+  let top = Xmtsim.Mem.stack_top in
+  let base = top - Xmtsim.Mem.stack_bytes in
+  let rd a = Isa.Value.to_int (Xmtsim.Mem.read m a) in
+  Tu.check_int "untouched top word" 0 (rd (top - 4));
+  Tu.check_int "untouched base word" 0 (rd base);
+  Xmtsim.Mem.write m base (Isa.Value.int 41);
+  Xmtsim.Mem.write m (base + 4) (Isa.Value.int 42);
+  Tu.check_int "deepest word" 41 (rd base);
+  Tu.check_int "next word" 42 (rd (base + 4));
+  Tu.check_int "words above stay zero" 0 (rd (base + 8));
+  Tu.check_int "top stays zero" 0 (rd (top - 4));
+  Xmtsim.Mem.write m (top - 4) (Isa.Value.flt 1.5);
+  Tu.check_bool "top word" true (Isa.Value.to_flt (Xmtsim.Mem.read m (top - 4)) = 1.5);
+  Tu.check_int "base kept" 41 (rd base)
+
+let mem_region_faults () =
+  let img = Isa.Program.resolve (Isa.Asm.parse "main: halt\n.data\nA: .word 1") in
+  let m = Xmtsim.Mem.load img in
+  let top = Xmtsim.Mem.stack_top in
+  let base = top - Xmtsim.Mem.stack_bytes in
+  mem_fault "unaligned stack read" (fun () -> Xmtsim.Mem.read m (top - 6));
+  mem_fault "unaligned stack write" (fun () ->
+      Xmtsim.Mem.write m (base + 2) (Isa.Value.int 1));
+  mem_fault "unmapped" (fun () -> Xmtsim.Mem.write m 4 (Isa.Value.int 1));
+  mem_fault "beyond the stack" (fun () -> Xmtsim.Mem.read m top);
+  (* the heap grows by doubling; a doubling that would cross into the
+     stack region faults *)
+  let data = Isa.Program.data_base_addr in
+  let words = (base - data) / 4 in
+  Xmtsim.Mem.write m (data + (4 * ((words / 2) + 8))) (Isa.Value.int 1);
+  match Xmtsim.Mem.write m (data + (4 * ((words / 2) + 16))) (Isa.Value.int 1) with
+  | exception Xmtsim.Mem.Fault msg ->
+    Tu.check_bool "collision message" true
+      (String.starts_with ~prefix:"data/heap region collides with the stack" msg)
+  | () -> Alcotest.fail "expected a data/stack collision"
+
+let mem_snapshot_roundtrip () =
+  let img = Isa.Program.resolve (Isa.Asm.parse "main: halt\n.data\nA: .word 11, 22") in
+  let m = Xmtsim.Mem.load img in
+  let data = Isa.Program.data_base_addr in
+  let sp = Xmtsim.Mem.stack_top - 4 in
+  let rd a = Isa.Value.to_int (Xmtsim.Mem.read m a) in
+  Xmtsim.Mem.write m (data + 400) (Isa.Value.int 5);
+  Xmtsim.Mem.write m sp (Isa.Value.int 6);
+  Xmtsim.Mem.write m (sp - 8) (Isa.Value.int 7);
+  let snap = Xmtsim.Mem.snapshot m in
+  Xmtsim.Mem.write m data (Isa.Value.int 0);
+  Xmtsim.Mem.write m (data + 400) (Isa.Value.int 50);
+  Xmtsim.Mem.write m sp (Isa.Value.int 60);
+  Xmtsim.Mem.write m (sp - 4000) (Isa.Value.int 70);
+  Xmtsim.Mem.restore m snap;
+  Tu.check_int "image word" 11 (rd data);
+  Tu.check_int "data word" 5 (rd (data + 400));
+  Tu.check_int "stack word" 6 (rd sp);
+  Tu.check_int "deeper stack word" 7 (rd (sp - 8));
+  Tu.check_int "stack gap" 0 (rd (sp - 4));
+  Tu.check_int "post-snapshot stack word gone" 0 (rd (sp - 4000));
+  Tu.check_int "data words" (Xmtsim.Mem.data_words snap) (Xmtsim.Mem.data_words m);
+  (* the snapshot is not shared with the live memory *)
+  Xmtsim.Mem.write m (sp - 8) (Isa.Value.int 8);
+  Xmtsim.Mem.restore m snap;
+  Tu.check_int "snapshot unchanged" 7 (rd (sp - 8))
+
 (* ------------------------------------------------------------------ *)
 (* Machine on handwritten assembly *)
 
@@ -1159,6 +1231,157 @@ let gating_rejects_late_toggle () =
     (M.Sim_error "set_gating must be called before the first run") (fun () ->
       M.set_gating m false)
 
+(* ------------------------------------------------------------------ *)
+(* Golden equivalence: the cluster tick's host-side bookkeeping (which
+   TCUs it visits, and how it charges parked ones) must never show in the
+   simulated machine.  Scaled-down Table I kernels run on every preset,
+   gated and ungated, plus a cluster wider than one machine word, a run
+   with an activity plug-in (the cluster clock then never sleeps) and a
+   mid-run checkpoint/restore.  Output, cycles, host events and a digest
+   of Stats.to_string plus the B array are pinned to literals. *)
+
+let golden_kernels =
+  let a_par = Core.Workloads.random_array ~seed:5 ~n:2048 ~bound:1000 in
+  let a_ser = Core.Workloads.random_array ~seed:7 ~n:1024 ~bound:1000 in
+  let g =
+    Core.Workloads.random_graph ~chain:8 ~seed:6 ~n:128 ~edges_per_vertex:4 ()
+  in
+  let compile ?memmap src = lazy (Core.Toolchain.compile ?memmap src) in
+  [
+    ( "par_mem",
+      compile ~memmap:(Isa.Memmap.of_ints [ ("A", a_par) ])
+        (Core.Kernels.par_mem ~threads:128 ~iters:6 ~n:2048),
+      Some ("B", 2048) );
+    ( "bfs",
+      compile ~memmap:(Core.Workloads.graph_memmap g)
+        (Core.Kernels.bfs ~n:128 ~m:g.Core.Workloads.m ~src:0),
+      None );
+    ( "ser_mem",
+      compile ~memmap:(Isa.Memmap.of_ints [ ("A", a_ser) ])
+        (Core.Kernels.ser_mem ~iters:60 ~n:1024),
+      Some ("B", 1024) );
+  ]
+
+(* (output, cycles, events, digest of stats + readback + extra) *)
+let golden_observe ?(extra = "") m compiled readback (r : M.result) =
+  let back =
+    match readback with
+    | None -> ""
+    | Some (name, len) ->
+      Core.Toolchain.read_global m compiled name len
+      |> Array.to_list |> List.map string_of_int |> String.concat ","
+  in
+  ( r.M.output,
+    r.M.cycles,
+    M.events_processed m,
+    Digest.to_hex
+      (Digest.string (Xmtsim.Stats.to_string (M.stats m) ^ back ^ extra)) )
+
+let golden_check name expected got =
+  let eo, ec, ee, ed = expected and go, gc, ge, gd = got in
+  Tu.check_string (name ^ " output") eo go;
+  Tu.check_int (name ^ " cycles") ec gc;
+  Tu.check_int (name ^ " events") ee ge;
+  Tu.check_string (name ^ " stats digest") ed gd
+
+let golden_run ?(gating = true) config (_, compiled, readback) =
+  let compiled = Lazy.force compiled in
+  let m = Core.Toolchain.machine ~config compiled in
+  M.set_gating m gating;
+  golden_observe m compiled readback (M.run m)
+
+let golden_presets =
+  [
+    ("par_mem", "tiny", true,
+     ("", 5515, 20101, "aef622cfc45c85d9b491ce3f8ea99c22"));
+    ("par_mem", "tiny", false,
+     ("", 5515, 27533, "aef622cfc45c85d9b491ce3f8ea99c22"));
+    ("par_mem", "fpga64", true,
+     ("", 914, 7912, "2ae7fbe5c6b25473cda0dabd7d19beb4"));
+    ("par_mem", "fpga64", false,
+     ("", 914, 9180, "2ae7fbe5c6b25473cda0dabd7d19beb4"));
+    ("par_mem", "chip1024", true,
+     ("", 796, 8344, "a0b452f9f9a97da4bfc8eeef1ab0a1bb"));
+    ("par_mem", "chip1024", false,
+     ("", 796, 9668, "a0b452f9f9a97da4bfc8eeef1ab0a1bb"));
+    ("bfs", "tiny", true,
+     ("128 308", 19402, 49659, "b551851ffddfe72ace63966b577c15a1"));
+    ("bfs", "tiny", false,
+     ("128 308", 19402, 92378, "b551851ffddfe72ace63966b577c15a1"));
+    ("bfs", "fpga64", true,
+     ("128 308", 6233, 29646, "b0137eb5e1465e6b8cf0848aab7ad67f"));
+    ("bfs", "fpga64", false,
+     ("128 308", 6233, 41200, "b0137eb5e1465e6b8cf0848aab7ad67f"));
+    ("bfs", "chip1024", true,
+     ("128 308", 9019, 46497, "b1b2da314e2a1ff2e1684ffa078ee4ac"));
+    ("bfs", "chip1024", false,
+     ("128 308", 9019, 63273, "b1b2da314e2a1ff2e1684ffa078ee4ac"));
+    ("ser_mem", "tiny", true,
+     ("", 2361, 1226, "7b82cc91041bff8f3e14ab0c09752bc6"));
+    ("ser_mem", "tiny", false,
+     ("", 2361, 9509, "7b82cc91041bff8f3e14ab0c09752bc6"));
+    ("ser_mem", "fpga64", true,
+     ("", 4761, 1226, "c37af077c63fd440711881533cf6fc86"));
+    ("ser_mem", "fpga64", false,
+     ("", 4761, 19109, "c37af077c63fd440711881533cf6fc86"));
+    ("ser_mem", "chip1024", true,
+     ("", 7161, 1226, "0b1df5748fd18a1ece5a65c11ebb4137"));
+    ("ser_mem", "chip1024", false,
+     ("", 7161, 28709, "0b1df5748fd18a1ece5a65c11ebb4137"));
+  ]
+
+let golden_presets_equal () =
+  List.iter
+    (fun (kname, cname, gating, expected) ->
+      let k = List.find (fun (n, _, _) -> n = kname) golden_kernels in
+      let config = List.assoc cname C.presets in
+      golden_check
+        (Printf.sprintf "%s/%s/%s" kname cname (if gating then "gated" else "ungated"))
+        expected (golden_run ~gating config k))
+    golden_presets
+
+let golden_wide_cluster () =
+  (* more TCUs per cluster than bits in a machine word *)
+  let config = C.with_topology ~num_clusters:2 ~tcus_per_cluster:100 C.fpga64 in
+  List.iter
+    (fun (kname, expected) ->
+      let k = List.find (fun (n, _, _) -> n = kname) golden_kernels in
+      golden_check ("wide/" ^ kname) expected (golden_run config k))
+    [
+      ("par_mem", ("", 1490, 9790, "0ce0bc94b697490df35c1cb6ff39d809"));
+      ("bfs", ("128 308", 8299, 37488, "fd085efa71276f4e6e416d17bca2b30a"));
+    ]
+
+let golden_activity_plugin () =
+  (* the plug-in samples counters mid-run, so per-tick wait accounting
+     shows in the sampled values, not only in the totals *)
+  let _, compiled, readback = List.hd golden_kernels in
+  let compiled = Lazy.force compiled in
+  let m = Core.Toolchain.machine ~config:C.fpga64 compiled in
+  let samples = Buffer.create 256 in
+  M.add_activity_plugin m ~interval:7 (fun m cycle ->
+      let s = M.stats m in
+      Printf.bprintf samples "%d:%d/%d/%d/%d;" cycle s.Xmtsim.Stats.tcu_memwait_cycles
+        s.Xmtsim.Stats.tcu_busy_cycles s.Xmtsim.Stats.tcu_fuwait_cycles
+        s.Xmtsim.Stats.tcu_pswait_cycles);
+  let r = M.run m in
+  golden_check "plugin/par_mem"
+    ("", 914, 7988, "f713bc88aa9c7fa8ae2b60b9000b8a0c")
+    (golden_observe ~extra:(Buffer.contents samples) m compiled readback r)
+
+let golden_checkpoint () =
+  let _, compiled, readback = List.nth golden_kernels 1 in
+  let compiled = Lazy.force compiled in
+  let straight = Core.Toolchain.run_cycle ~config:C.fpga64 compiled in
+  let m1 = Core.Toolchain.machine ~config:C.fpga64 compiled in
+  ignore (M.run ~max_cycles:(straight.Core.Toolchain.cycles / 2) m1);
+  M.run_to_quiescent m1;
+  let m2 = Core.Toolchain.machine ~config:C.fpga64 compiled in
+  M.restore m2 (M.checkpoint m1);
+  golden_check "checkpoint/bfs"
+    ("128 308", 2502, 13540, "cb213efc2fb9393177515c4bf502e59b")
+    (golden_observe m2 compiled readback (M.run m2))
+
 let () =
   Alcotest.run "xmtsim"
     [
@@ -1181,6 +1404,9 @@ let () =
           Tu.tc "image load" mem_image;
           Tu.tc "stack region" mem_stack_region;
           Tu.tc "faults" mem_faults;
+          Tu.tc "stack grows on demand" mem_stack_grows;
+          Tu.tc "region faults" mem_region_faults;
+          Tu.tc "snapshot round trip" mem_snapshot_roundtrip;
         ] );
       ( "machine/asm",
         [
@@ -1248,6 +1474,13 @@ let () =
           Tu.tc "advance pauses at boundaries" functional_advance_pauses_at_boundaries;
           Tu.tc "functional->cycle handoff" functional_snapshot_handoff;
           Tu.tc "estimate accuracy" phase_sampling_accuracy;
+        ] );
+      ( "golden",
+        [
+          Tu.tc "presets, gated and ungated" golden_presets_equal;
+          Tu.tc "cluster wider than a word" golden_wide_cluster;
+          Tu.tc "activity plug-in" golden_activity_plugin;
+          Tu.tc "checkpoint mid-run" golden_checkpoint;
         ] );
       ( "power/thermal",
         [
