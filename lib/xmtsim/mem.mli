@@ -2,8 +2,9 @@
     values (transaction-level accuracy, §III-A).
 
     Two regions: the data/heap region growing up from the image's data
-    base, and the Master TCU's stack region just below {!stack_top}.
-    Cells are auto-zeroed; accesses outside both regions raise. *)
+    base, and the Master TCU's stack region just below {!stack_top},
+    growing down from it.  Both are allocated as they are touched and
+    cells are auto-zeroed; accesses outside both regions raise. *)
 
 type t
 
@@ -27,7 +28,8 @@ val read_string : t -> int -> string
 (** Words currently allocated in the data region (for bounds reporting). *)
 val data_words : t -> int
 
-(** Deep snapshot for checkpointing. *)
+(** Deep snapshot for checkpointing; it copies the used part of the
+    stack. *)
 val snapshot : t -> t
 
 val restore : t -> t -> unit
