@@ -59,7 +59,8 @@ val create :
 
 (** {2 Collector hooks} (called by {!Functional_mode}) *)
 
-val on_instr : t -> master:bool -> Isa.Instr.t -> unit
+(** An executed instruction; [slot] is its {!Stats.slots} entry. *)
+val on_instr : t -> master:bool -> slot:int -> Isa.Instr.t -> unit
 
 val on_access :
   t ->
