@@ -41,13 +41,21 @@ let run () =
   (* a single ~25 ms measurement is dominated by scheduler/GC noise and
      the heap drifts monotonically across runs, so measure the variants
      in adjacent pairs (drift cancels within a pair) and take the median
-     of the per-pair overhead ratios *)
+     of the per-pair overhead ratios.  The second run of a pair is
+     systematically faster or slower than the first, so the order
+     alternates from pair to pair. *)
   let reps = 9 in
   let plain = Array.make reps (run_plain ()) in
   let streamed = Array.make reps (run_streamed ()) in
   for i = 1 to reps - 1 do
-    plain.(i) <- run_plain ();
-    streamed.(i) <- run_streamed ()
+    if i mod 2 = 0 then begin
+      plain.(i) <- run_plain ();
+      streamed.(i) <- run_streamed ()
+    end
+    else begin
+      streamed.(i) <- run_streamed ();
+      plain.(i) <- run_plain ()
+    end
   done;
   let ratios =
     Array.init reps (fun i ->

@@ -6,6 +6,7 @@
     the paper. *)
 
 open Cmdliner
+module T = Core.Toolchain
 
 let read_file path =
   let ic = open_in path in
@@ -263,10 +264,10 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
      two agree or the invocation is ambiguous *)
   let mode =
     match (mode_opt, functional) with
-    | None, false -> `Cycle
-    | None, true | Some "functional", _ -> `Functional
-    | Some "cycle", false -> `Cycle
-    | Some "predict", false -> `Predict
+    | None, false -> T.Cycle
+    | None, true | Some "functional", _ -> T.Functional
+    | Some "cycle", false -> T.Cycle
+    | Some "predict", false -> T.Predict
     | Some (("cycle" | "predict") as m), true ->
       Printf.eprintf "xmtsim: --functional conflicts with --mode %s\n" m;
       exit 1
@@ -275,13 +276,13 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
         other;
       exit 1
   in
-  if calibration <> None && mode <> `Predict then begin
+  if calibration <> None && mode <> T.Predict then begin
     Printf.eprintf "xmtsim: --calibration needs --mode predict\n";
     exit 1
   end;
   let predict_json = export "predict" in
   let reuseprofile_json = export "reuseprofile" in
-  (if mode <> `Predict then
+  (if mode <> T.Predict then
      List.iter
        (fun kind ->
          if export kind <> None then begin
@@ -320,33 +321,55 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
     | None -> []
     | Some p -> Isa.Memmap.parse_file p
   in
-  (* keep the driver output alongside the image: the static race layer
-     analyzes the typed AST + final IR, which assembly inputs don't have *)
-  let driver_out, image =
-    if Filename.check_suffix input ".s" || Filename.check_suffix input ".asm"
-    then (None, Isa.Program.resolve ~extra_data:memmap (Isa.Asm.parse_file input))
-    else begin
-      match Compiler.Driver.compile_to_image ~memmap (read_file input) with
-      | exception Compiler.Driver.Compile_error msg ->
+  let assembly =
+    Filename.check_suffix input ".s" || Filename.check_suffix input ".asm"
+  in
+  let compiled =
+    if assembly then T.assemble ~memmap (read_file input)
+    else
+      try T.compile ~memmap (read_file input)
+      with Compiler.Driver.Compile_error msg ->
         Printf.eprintf "xmtcc: %s\n" msg;
         exit 1
-      | out, img -> (Some out, img)
-    end
   in
-  let static_findings () =
-    match driver_out with
-    | Some out -> Racecheck.analyze out
-    | None -> []
-  in
-  let print_findings findings =
+  (* the static findings, a summary line, then the xmt.races.v1 report *)
+  let report_races (run : T.run) summary =
     List.iter
       (fun f -> Printf.eprintf "%s: %s\n" input (Racecheck.Diag.render f))
-      findings
+      run.race_findings;
+    Printf.eprintf "racecheck: %d static finding(s)%s\n"
+      (List.length run.race_findings) summary;
+    Option.iter
+      (fun path -> Obs.Json.write_path ~pretty:true path (Option.get run.races))
+      races_json
   in
-  (* cycle-level sinks have nothing to record in the serializing
-     functional and predict modes: fail fast instead of writing an
-     empty file *)
-  let reject_cycle_sinks ~drop =
+  (* a fault of the simulated program is a diagnostic with its own exit
+     code, not a crash *)
+  let simulate f =
+    try f () with
+    | Xmtsim.Funcmodel.Fault { tcu; pc; msg } ->
+      let who =
+        if tcu < 0 then "MTCU"
+        else Printf.sprintf "%s %d" (if mode = T.Cycle then "TCU" else "thread") tcu
+      in
+      let loc =
+        match compiled.image.Isa.Program.locs.(pc) with
+        | Some (line, _) when not assembly -> Printf.sprintf " (%s:%d)" input line
+        | Some (line, fn) -> Printf.sprintf " (line %d, in %s)" line fn
+        | None | (exception Invalid_argument _) -> ""
+      in
+      Printf.eprintf "xmtsim: simulation fault: %s, pc %d%s: %s\n" who pc loc msg;
+      exit fault_exit
+    | Xmtsim.Machine.Sim_error msg | Xmtsim.Functional_mode.Exec_error msg ->
+      Printf.eprintf "xmtsim: simulation fault: %s\n" msg;
+      exit fault_exit
+  in
+  match mode with
+  | T.Functional | T.Predict -> begin
+    let drop = if mode = T.Functional then "--functional" else "--mode predict" in
+    (* cycle-level sinks have nothing to record in the serializing
+       functional and predict modes: fail fast instead of writing an
+       empty file *)
     let reject flag =
       Printf.eprintf
         "xmtsim: %s records simulated cycle-level activity; it needs the \
@@ -359,192 +382,93 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
     if profile_json <> None then reject "--export profile";
     if cpi_profile then reject "--profile";
     if governor then reject "--governor";
-    if stream_sink <> None then reject "--stream"
-  in
-  (* a fault of the simulated program is a diagnostic with its own exit
-     code, not a crash *)
-  let simulate f =
-    try f () with
-    | Xmtsim.Funcmodel.Fault { tcu; pc; msg } ->
-      let who =
-        if tcu < 0 then "MTCU"
-        else Printf.sprintf "%s %d" (if mode = `Cycle then "TCU" else "thread") tcu
-      in
-      let loc =
-        match image.Isa.Program.locs.(pc) with
-        | Some (line, _) when driver_out <> None -> Printf.sprintf " (%s:%d)" input line
-        | Some (line, fn) -> Printf.sprintf " (line %d, in %s)" line fn
-        | None | (exception Invalid_argument _) -> ""
-      in
-      Printf.eprintf "xmtsim: simulation fault: %s, pc %d%s: %s\n" who pc loc msg;
-      exit fault_exit
-    | Xmtsim.Machine.Sim_error msg | Xmtsim.Functional_mode.Exec_error msg ->
-      Printf.eprintf "xmtsim: simulation fault: %s\n" msg;
-      exit fault_exit
-  in
-  match mode with
-  | `Functional -> begin
-    reject_cycle_sinks ~drop:"--functional";
+    if stream_sink <> None then reject "--stream";
     let host_t0 = Unix.gettimeofday () in
-    let r = simulate (fun () -> Xmtsim.Functional_mode.run image) in
+    let run =
+      simulate (fun () ->
+          if mode = T.Functional then T.run_functional ~racecheck compiled
+          else
+            try T.run_predict ~config ~racecheck ?calibration compiled
+            with Predict.Calibrate.Calib_error msg ->
+              Printf.eprintf "xmtsim: --calibration %s: %s\n"
+                (Option.get calibration) msg;
+              exit 1)
+    in
     let host_secs = Unix.gettimeofday () -. host_t0 in
-    print_string r.Xmtsim.Functional_mode.output;
-    if String.length r.Xmtsim.Functional_mode.output > 0 then print_newline ();
-    if stats then
-      Printf.printf "[functional] instructions: %d\n"
-        r.Xmtsim.Functional_mode.instructions;
+    print_string run.output;
+    if String.length run.output > 0 then print_newline ();
+    (if stats then
+       match run.prediction with
+       | None -> Printf.printf "[functional] instructions: %d\n" run.instructions
+       | Some pred ->
+         Printf.printf
+           "[predict] instructions: %d, predicted cycles: %d (band %d..%d, \
+            config %s)\n"
+           run.instructions run.cycles pred.Predict.Model.lo
+           pred.Predict.Model.hi config.Xmtsim.Config.name);
+    let write path j = Obs.Json.write_path ~pretty:true path j in
+    Option.iter (fun path -> write path (Option.get run.predict)) predict_json;
+    Option.iter
+      (fun path ->
+        write path (Xmtsim.Reuseprofile.to_json (Option.get run.reuse)))
+      reuseprofile_json;
     (match stats_json with
     | None -> ()
     | Some path ->
-      (* functional mode has no cycle-level stats; emit the envelope with
-         what it does measure so downstream tooling sees a valid record *)
+      (* no cycle-level stats in these modes: the envelope carries what
+         they measure, so downstream tooling sees a valid record *)
       let reg = Obs.Metrics.create () in
-      Obs.Metrics.inc
-        ~by:r.Xmtsim.Functional_mode.instructions
+      Obs.Metrics.inc ~by:run.instructions
         (Obs.Metrics.counter reg ~help:"instructions executed"
-           ~labels:[ ("mode", "functional") ]
+           ~labels:[ ("mode", T.mode_name mode) ]
            "sim.instructions");
+      if mode = T.Predict then
+        Obs.Metrics.set
+          (Obs.Metrics.gauge reg ~help:"analytically predicted cycles"
+             "predict.cycles")
+          (float_of_int run.cycles);
       Obs.Metrics.set
         (Obs.Metrics.gauge reg ~help:"host wall-clock seconds" "host.wall_seconds")
         host_secs;
-      Obs.Json.write_path ~pretty:true path (Obs.Metrics.to_json reg));
+      write path (Obs.Metrics.to_json reg));
     if racecheck then begin
-      (* the shadow-memory layer needs the cycle-accurate machine; the
-         functional mode still gets the static analysis when the input
-         was XMTC source *)
-      match driver_out with
-      | None ->
+      (* the shadow-memory layer needs the cycle-accurate machine; these
+         modes still get the static analysis when the input was XMTC
+         source *)
+      if assembly then begin
         Printf.eprintf
           "xmtsim: --racecheck on assembly input needs the cycle-accurate \
            mode (the static layer analyzes XMTC source)\n";
         exit 2
-      | Some _ ->
-        let findings = static_findings () in
-        print_findings findings;
-        Printf.eprintf
-          "racecheck: %d static finding(s); dynamic detection needs the \
-           cycle-accurate mode (drop --functional)\n"
-          (List.length findings);
-        (match races_json with
-        | Some path ->
-          Obs.Json.write_path ~pretty:true path (Racecheck.report findings)
-        | None -> ())
+      end;
+      report_races run
+        ("; dynamic detection needs the cycle-accurate mode (drop " ^ drop ^ ")")
     end
   end
-  | `Predict -> begin
-    reject_cycle_sinks ~drop:"--mode predict";
-    let cal =
-      match calibration with
-      | None -> Predict.Calibrate.default
-      | Some file -> (
-        try Predict.Calibrate.load_file file
-        with Predict.Calibrate.Calib_error msg ->
-          Printf.eprintf "xmtsim: --calibration %s: %s\n" file msg;
-          exit 1)
-    in
-    let rp = Xmtsim.Reuseprofile.create () in
-    let host_t0 = Unix.gettimeofday () in
-    let r = simulate (fun () -> Xmtsim.Functional_mode.run ~profile:rp image) in
-    let host_secs = Unix.gettimeofday () -. host_t0 in
-    let snap = Xmtsim.Reuseprofile.snapshot rp in
-    let pred =
-      Predict.Model.predict ~coeffs:cal.Predict.Calibrate.coeffs
-        ~residual_std_pct:cal.Predict.Calibrate.residual_std_pct ~config snap
-    in
-    print_string r.Xmtsim.Functional_mode.output;
-    if String.length r.Xmtsim.Functional_mode.output > 0 then print_newline ();
-    if stats then
-      Printf.printf
-        "[predict] instructions: %d, predicted cycles: %d (band %d..%d, \
-         config %s)\n"
-        r.Xmtsim.Functional_mode.instructions pred.Predict.Model.predicted_cycles
-        pred.Predict.Model.lo pred.Predict.Model.hi config.Xmtsim.Config.name;
-    (match predict_json with
-    | Some path ->
-      Obs.Json.write_path ~pretty:true path
-        (Predict.Model.to_json
-           ~calibration:(Predict.Calibrate.summary_json cal)
-           ~config_name:config.Xmtsim.Config.name pred)
-    | None -> ());
-    (match reuseprofile_json with
-    | Some path ->
-      Obs.Json.write_path ~pretty:true path (Xmtsim.Reuseprofile.to_json snap)
-    | None -> ());
-    (match stats_json with
-    | None -> ()
-    | Some path ->
-      (* like functional mode, the envelope carries what this mode
-         measures: instructions executed plus the model's prediction *)
-      let reg = Obs.Metrics.create () in
-      Obs.Metrics.inc
-        ~by:r.Xmtsim.Functional_mode.instructions
-        (Obs.Metrics.counter reg ~help:"instructions executed"
-           ~labels:[ ("mode", "predict") ]
-           "sim.instructions");
-      Obs.Metrics.set
-        (Obs.Metrics.gauge reg ~help:"analytically predicted cycles"
-           "predict.cycles")
-        (float_of_int pred.Predict.Model.predicted_cycles);
-      Obs.Metrics.set
-        (Obs.Metrics.gauge reg ~help:"host wall-clock seconds" "host.wall_seconds")
-        host_secs;
-      Obs.Json.write_path ~pretty:true path (Obs.Metrics.to_json reg));
-    if racecheck then begin
-      match driver_out with
-      | None ->
-        Printf.eprintf
-          "xmtsim: --racecheck on assembly input needs the cycle-accurate \
-           mode (the static layer analyzes XMTC source)\n";
-        exit 2
-      | Some _ ->
-        let findings = static_findings () in
-        print_findings findings;
-        Printf.eprintf
-          "racecheck: %d static finding(s); dynamic detection needs the \
-           cycle-accurate mode (drop --mode predict)\n"
-          (List.length findings);
-        (match races_json with
-        | Some path ->
-          Obs.Json.write_path ~pretty:true path (Racecheck.report findings)
-        | None -> ())
-    end
-  end
-  | `Cycle -> begin
-    let m = simulate (fun () -> Xmtsim.Machine.create ~config image) in
-    if no_clock_gating then Xmtsim.Machine.set_gating m false;
-    let observe probe = ignore (Xmtsim.Machine.attach m probe : unit -> unit) in
-    (* [Some x] with x's probe attached when [wanted], else [None] *)
-    let observer wanted create probe =
-      if wanted then begin
-        let x = create () in
-        observe (probe x);
-        Some x
-      end
-      else None
-    in
-    let racedet =
-      observer racecheck Xmtsim.Racedetect.create (Xmtsim.Racedetect.probe m)
-    in
+  | T.Cycle -> begin
     let series =
       match timeseries_json with
       | None -> None
       | Some _ -> Some (Obs.Timeseries.create ~window:4096 ())
     in
+    let stream =
+      Option.map
+        (fun sink -> Obs.Stream.create (Obs.Stream.sink_of_path sink))
+        stream_sink
+    in
     (* the CPI stacks also feed the interval profiler, which the trace and
        timeseries get as activity counter tracks even without an explicit
        profile interval *)
-    let prof =
-      observer
-        (profile_requested || profile_interval > 0 || trace_json <> None
-       || series <> None)
-        (fun () -> Xmtsim.Profile.create m)
-        Xmtsim.Profile.probe
+    let cyc =
+      T.start_cycle ~config ~racecheck
+        ~profile:
+          (profile_requested || profile_interval > 0 || trace_json <> None
+         || series <> None)
+        ?stream ~heartbeat_cycles compiled
     in
-    let stream =
-      observer (stream_sink <> None)
-        (fun () -> Obs.Stream.create (Obs.Stream.sink_of_path (Option.get stream_sink)))
-        (Xmtsim.Heartbeat.probe ~heartbeat_cycles m)
-    in
+    let m = cyc.T.machine in
+    if no_clock_gating then Xmtsim.Machine.set_gating m false;
+    let observe probe = ignore (Xmtsim.Machine.attach m probe : unit -> unit) in
     (match checkpoint_in with
     | Some p -> Xmtsim.Machine.restore m (Xmtsim.Machine.snapshot_of_file p)
     | None -> ());
@@ -557,9 +481,12 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
     let filters = if hot then [ Xmtsim.Plugin.hot_locations ~top:10 () ] else [] in
     List.iter (fun f -> observe (Xmtsim.Plugin.probe f)) filters;
     let spans =
-      observer (trace_json <> None)
-        (fun () -> Xmtsim.Trace.spans m (Obs.Tracer.create ()))
-        Xmtsim.Trace.span_probe
+      match trace_json with
+      | None -> None
+      | Some _ ->
+        let sp = Xmtsim.Trace.spans m (Obs.Tracer.create ()) in
+        observe (Xmtsim.Trace.span_probe sp);
+        Some sp
     in
     let gov =
       if governor then
@@ -567,7 +494,7 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
       else None
     in
     let profiler =
-      match prof with
+      match cyc.T.profiler with
       | Some p when profile_interval > 0 || spans <> None || series <> None ->
         let interval = if profile_interval > 0 then profile_interval else 1000 in
         Some (Xmtsim.Plugin.attach_profiler ~interval m p)
@@ -612,8 +539,9 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
     | None, _ -> ());
     let r = simulate (fun () -> Xmtsim.Machine.run ?max_cycles m) in
     let host_secs = Unix.gettimeofday () -. host_t0 in
-    print_string r.Xmtsim.Machine.output;
-    if String.length r.Xmtsim.Machine.output > 0 then print_newline ();
+    let run = T.finish_cycle cyc r in
+    print_string run.output;
+    if String.length run.output > 0 then print_newline ();
     if not r.Xmtsim.Machine.halted then
       Printf.eprintf "xmtsim: cycle budget exhausted before halt\n";
     (match (checkpoint_out, checkpoint_at) with
@@ -623,7 +551,7 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
     | _ -> ());
     if stats then begin
       Printf.printf "---- %s ----\n" config.Xmtsim.Config.name;
-      print_string (Xmtsim.Stats.to_string (Xmtsim.Machine.stats m))
+      print_string (Xmtsim.Stats.to_string run.stats)
     end;
     (match profiler with
     | Some p when profile_interval > 0 ->
@@ -632,22 +560,18 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
     | _ -> ());
     (* the CPI stacks are reported only when asked for — the profiler may
        also be attached as the interval profiler's event source *)
-    (if profile_requested then
-       match prof with
-       | Some p ->
-         let rp = Xmtsim.Profile.report p in
-         if cpi_profile then begin
-           print_endline "---- CPI stacks ----";
-           print_string (Xmtsim.Profile.render rp);
-           print_string (Xmtsim.Profile.render_flame rp)
-         end;
-         (match profile_json with
-         | Some path ->
-           Obs.Json.write_path ~pretty:true path (Xmtsim.Profile.to_json rp)
-         | None -> ())
-       | None -> ());
+    (match cyc.T.profiler with
+    | Some p when cpi_profile ->
+      let rp = Xmtsim.Profile.report p in
+      print_endline "---- CPI stacks ----";
+      print_string (Xmtsim.Profile.render rp);
+      print_string (Xmtsim.Profile.render_flame rp)
+    | _ -> ());
+    Option.iter
+      (fun path -> Obs.Json.write_path ~pretty:true path (Option.get run.profile))
+      profile_json;
     (* -------- telemetry sinks (--export stats / --export trace) -------- *)
-    let events = Xmtsim.Machine.events_processed m in
+    let events = run.events in
     let events_per_sec =
       if host_secs > 0.0 then float_of_int events /. host_secs else 0.0
     in
@@ -655,7 +579,7 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
     | None -> ()
     | Some path ->
       let reg = Obs.Metrics.create () in
-      Xmtsim.Stats.export (Xmtsim.Machine.stats m) reg;
+      Xmtsim.Stats.export run.stats reg;
       (* per-domain clock activity (ticks fired / ticks gated away) *)
       Xmtsim.Machine.export_clocks m reg;
       (* host-side throughput *)
@@ -676,7 +600,7 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
       Obs.Metrics.set
         (Obs.Metrics.gauge reg "host.sim_cycles_per_sec")
         (if host_secs > 0.0 then
-           float_of_int r.Xmtsim.Machine.cycles /. host_secs
+           float_of_int run.cycles /. host_secs
          else 0.0);
       (* spatial distributions *)
       let act =
@@ -729,7 +653,7 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
           [
             ("events_processed", Obs.Tracer.A_int events);
             ("events_per_sec", Obs.Tracer.A_float events_per_sec);
-            ("sim_cycles", Obs.Tracer.A_int r.Xmtsim.Machine.cycles);
+            ("sim_cycles", Obs.Tracer.A_int run.cycles);
           ]
         "simulation-run";
       Obs.Json.write_path path (Obs.Tracer.to_json tr)
@@ -764,23 +688,15 @@ let run_cmd input preset overrides functional mode_opt calibration memmap_file
       | None -> ());
       Obs.Json.write_path ~pretty:true path (Obs.Timeseries.to_json s)
     | _ -> ());
-    (match racedet with
+    (match cyc.T.racedetect with
     | None -> ()
     | Some rd ->
-      let findings = static_findings () in
-      print_findings findings;
-      let nraces = Xmtsim.Racedetect.race_count rd in
-      Printf.eprintf
-        "racecheck: %d static finding(s), %d dynamic race(s) (%d shadow \
-         event(s) over %d spawn epoch(s))\n"
-        (List.length findings) nraces
-        (Xmtsim.Racedetect.events rd)
-        (Xmtsim.Racedetect.epochs rd);
-      (match races_json with
-      | Some path ->
-        Obs.Json.write_path ~pretty:true path
-          (Racecheck.report ~dynamic:(Xmtsim.Racedetect.to_json rd) findings)
-      | None -> ()));
+      report_races run
+        (Printf.sprintf
+           ", %d dynamic race(s) (%d shadow event(s) over %d spawn epoch(s))"
+           (Xmtsim.Racedetect.race_count rd)
+           (Xmtsim.Racedetect.events rd)
+           (Xmtsim.Racedetect.epochs rd)));
     (match stream with
     | Some s ->
       let dropped = Obs.Stream.dropped s in

@@ -100,62 +100,102 @@ type run = {
   stats : Xmtsim.Stats.t;
   races : Obs.Json.t option;
       (** [xmt.races.v1] report when the run was race-checked *)
+  race_findings : Racecheck.Diag.finding list;
+      (** the static findings inside [races] ([[]] unless race-checked) *)
   profile : Obs.Json.t option;
       (** [xmt.profile.v1] CPI-stack report when the run was profiled *)
   predict : Obs.Json.t option;
       (** [xmt.predict.v1] report (predict mode only) *)
+  prediction : Predict.Model.prediction option;
+      (** the model's result behind [predict] *)
+  reuse : Xmtsim.Reuseprofile.snapshot option;
+      (** the reuse profile [prediction] priced (predict mode only) *)
 }
 
-(* Static findings + (for cycle runs) the dynamic detector's output,
-   assembled into one xmt.races.v1 report. *)
-let races_report ?dynamic compiled =
-  Racecheck.report ?dynamic (Racecheck.analyze compiled.cc)
+let assemble ?(memmap = []) asm_text =
+  let program = Isa.Asm.parse asm_text in
+  let cc =
+    {
+      Compiler.Driver.program;
+      asm_text;
+      relocated_blocks = 0;
+      outlined_source = "";
+      timings = [];
+      typed = { Xmtc.Tast.globals = []; funcs = [] };
+      ir = { Compiler.Ir.funcs = []; data = []; ps_regs = [] };
+    }
+  in
+  { cc; image = Isa.Program.resolve ~extra_data:memmap program }
 
-let run_cycle ?config ?(racecheck = false) ?(profile = false) ?stream
-    ?heartbeat_cycles ?max_cycles compiled =
-  let m = Xmtsim.Machine.create ?config compiled.image in
-  let observe probe = ignore (Xmtsim.Machine.attach m probe : unit -> unit) in
-  let rd = if racecheck then Some (Xmtsim.Racedetect.create ()) else None in
-  Option.iter (fun rd -> observe (Xmtsim.Racedetect.probe m rd)) rd;
-  let prof = if profile then Some (Xmtsim.Profile.create m) else None in
-  Option.iter (fun p -> observe (Xmtsim.Profile.probe p)) prof;
-  Option.iter (fun s -> observe (Xmtsim.Heartbeat.probe ?heartbeat_cycles m s)) stream;
-  let r = Xmtsim.Machine.run ?max_cycles m in
-  if not r.Xmtsim.Machine.halted then
-    raise (Xmtsim.Machine.Sim_error "cycle budget exhausted before halt");
-  let stats = Xmtsim.Machine.stats m in
+(* The one place a [run] record is built.  [racecheck] adds the static
+   findings, combined with the dynamic detector's [dynamic] report when a
+   cycle machine was observed. *)
+let run_record ~racecheck ?dynamic ?profile compiled ~output ~cycles
+    ~instructions ~events stats =
+  let race_findings = if racecheck then Racecheck.analyze compiled.cc else [] in
   {
-    output = r.Xmtsim.Machine.output;
-    cycles = r.Xmtsim.Machine.cycles;
-    instructions = Xmtsim.Stats.total_instrs stats;
-    events = Xmtsim.Machine.events_processed m;
+    output;
+    cycles;
+    instructions;
+    events;
     stats;
     races =
-      Option.map
-        (fun rd ->
-          races_report ~dynamic:(Xmtsim.Racedetect.to_json rd) compiled)
-        rd;
-    profile = Option.map (fun p -> Xmtsim.Profile.(to_json (report p))) prof;
+      (if racecheck then Some (Racecheck.report ?dynamic race_findings) else None);
+    race_findings;
+    profile;
     predict = None;
+    prediction = None;
+    reuse = None;
   }
+
+type cycle = {
+  machine : Xmtsim.Machine.t;
+  racedetect : Xmtsim.Racedetect.t option;
+  profiler : Xmtsim.Profile.t option;
+  program : compiled;
+}
+
+let start_cycle ?config ?(racecheck = false) ?(profile = false) ?stream
+    ?heartbeat_cycles program =
+  let m = Xmtsim.Machine.create ?config program.image in
+  let observe probe = ignore (Xmtsim.Machine.attach m probe : unit -> unit) in
+  let racedetect = if racecheck then Some (Xmtsim.Racedetect.create ()) else None in
+  Option.iter (fun rd -> observe (Xmtsim.Racedetect.probe m rd)) racedetect;
+  let profiler = if profile then Some (Xmtsim.Profile.create m) else None in
+  Option.iter (fun p -> observe (Xmtsim.Profile.probe p)) profiler;
+  Option.iter (fun s -> observe (Xmtsim.Heartbeat.probe ?heartbeat_cycles m s)) stream;
+  { machine = m; racedetect; profiler; program }
+
+let finish_cycle c (r : Xmtsim.Machine.result) =
+  let stats = Xmtsim.Machine.stats c.machine in
+  run_record ~racecheck:(c.racedetect <> None)
+    ?dynamic:(Option.map Xmtsim.Racedetect.to_json c.racedetect)
+    ?profile:(Option.map (fun p -> Xmtsim.Profile.(to_json (report p))) c.profiler)
+    c.program ~output:r.output ~cycles:r.cycles
+    ~instructions:(Xmtsim.Stats.total_instrs stats)
+    ~events:(Xmtsim.Machine.events_processed c.machine)
+    stats
+
+let run_cycle ?config ?racecheck ?profile ?stream ?heartbeat_cycles ?max_cycles
+    compiled =
+  let c = start_cycle ?config ?racecheck ?profile ?stream ?heartbeat_cycles compiled in
+  let r = Xmtsim.Machine.run ?max_cycles c.machine in
+  if not r.halted then
+    raise (Xmtsim.Machine.Sim_error "cycle budget exhausted before halt");
+  finish_cycle c r
+
+(* Functional and predict runs build no cycle machine: [events] is 0 and
+   the race layer is static only. *)
+let serial_run ~racecheck compiled (r : Xmtsim.Functional_mode.result) =
+  run_record ~racecheck compiled ~output:r.output ~cycles:0
+    ~instructions:r.instructions ~events:0 r.stats
 
 let run_functional ?(racecheck = false) ?max_instructions compiled =
-  let r = Xmtsim.Functional_mode.run ?max_instructions compiled.image in
-  {
-    output = r.Xmtsim.Functional_mode.output;
-    cycles = 0;
-    instructions = r.Xmtsim.Functional_mode.instructions;
-    events = 0;
-    stats = r.Xmtsim.Functional_mode.stats;
-    (* no cycle machine to observe: static layer only *)
-    races = (if racecheck then Some (races_report compiled) else None);
-    profile = None;
-    predict = None;
-  }
+  serial_run ~racecheck compiled
+    (Xmtsim.Functional_mode.run ?max_instructions compiled.image)
 
 (* Predict mode: one functional pass harvests a reuse profile, the
-   analytical model prices it.  No cycle machine is built, so [events]
-   is 0 and the race layer (like functional mode) is static-only. *)
+   analytical model prices it. *)
 let run_predict ?config ?(racecheck = false) ?calibration ?max_instructions
     compiled =
   let config =
@@ -170,30 +210,27 @@ let run_predict ?config ?(racecheck = false) ?calibration ?max_instructions
   let r =
     Xmtsim.Functional_mode.run ?max_instructions ~profile:rp compiled.image
   in
+  let snap = Xmtsim.Reuseprofile.snapshot rp in
   let pred =
     Predict.Model.predict ~coeffs:cal.Predict.Calibrate.coeffs
-      ~residual_std_pct:cal.Predict.Calibrate.residual_std_pct ~config
-      (Xmtsim.Reuseprofile.snapshot rp)
+      ~residual_std_pct:cal.Predict.Calibrate.residual_std_pct ~config snap
   in
   {
-    output = r.Xmtsim.Functional_mode.output;
+    (serial_run ~racecheck compiled r) with
     cycles = pred.Predict.Model.predicted_cycles;
-    instructions = r.Xmtsim.Functional_mode.instructions;
-    events = 0;
-    stats = r.Xmtsim.Functional_mode.stats;
-    races = (if racecheck then Some (races_report compiled) else None);
-    profile = None;
     predict =
       Some
         (Predict.Model.to_json
            ~calibration:(Predict.Calibrate.summary_json cal)
            ~config_name:config.Xmtsim.Config.name pred);
+    prediction = Some pred;
+    reuse = Some snap;
   }
 
 (* ------------------------------------------------------------------ *)
 (* The job-oriented surface: everything one compile+simulate needs,
-   reified as data.  The campaign engine, the benches and the CLI all
-   construct jobs; [exec] below is a thin wrapper over [run_job]. *)
+   reified as data.  The campaign engine and the benches construct jobs;
+   [exec] below is a thin wrapper over [run_job]. *)
 
 type mode = Cycle | Functional | Predict
 

@@ -44,6 +44,12 @@ module Artifacts : sig
   val stats : t -> int * int
 end
 
+(** An XMT assembly listing (such as [xmtcc] output) as a [compiled]
+    value: the image is resolved with [memmap] as written (no heap-pointer
+    setup), and [cc] carries the parsed program with an empty typed AST
+    and IR, in which the static race layer finds nothing. *)
+val assemble : ?memmap:Isa.Memmap.t -> string -> compiled
+
 type run = {
   output : string;
   cycles : int;  (** 0 in functional mode *)
@@ -54,6 +60,8 @@ type run = {
       (** [xmt.races.v1] report when the run was race-checked: static
           findings ({!Racecheck}) plus, for cycle runs, the dynamic
           shadow-memory detector's races ({!Xmtsim.Racedetect}) *)
+  race_findings : Racecheck.Diag.finding list;
+      (** the static findings inside [races] ([[]] unless race-checked) *)
   profile : Obs.Json.t option;
       (** [xmt.profile.v1] CPI-stack report ({!Xmtsim.Profile}) when the
           run was profiled (cycle mode only) *)
@@ -61,6 +69,10 @@ type run = {
       (** [xmt.predict.v1] analytical-prediction report ({!Predict.Model})
           when the run used predict mode; [run.cycles] then carries the
           predicted cycle count *)
+  prediction : Predict.Model.prediction option;
+      (** the model's result behind [predict] *)
+  reuse : Xmtsim.Reuseprofile.snapshot option;
+      (** the reuse profile [prediction] priced (predict mode only) *)
 }
 
 (** Run on the cycle-accurate simulator.  [racecheck] attaches the
@@ -73,7 +85,8 @@ type run = {
     a [run.start] record, [sim.heartbeat]s every [heartbeat_cycles]
     cluster cycles, [window.close] rollups and a [run.done] summary —
     also passive, bit-identical results including the host event
-    count. *)
+    count.  Raises {!Xmtsim.Machine.Sim_error} when [max_cycles] runs
+    out before the program halts. *)
 val run_cycle :
   ?config:Xmtsim.Config.t ->
   ?racecheck:bool ->
@@ -83,6 +96,36 @@ val run_cycle :
   ?max_cycles:int ->
   compiled ->
   run
+
+(** {2 A cycle run in steps}
+
+    {!run_cycle} is {!start_cycle}, [Xmtsim.Machine.run], then
+    {!finish_cycle}.  A caller that drives the machine itself — the
+    [xmtsim] CLI attaches further observers, restores and writes
+    checkpoints, and warns rather than fails when its cycle budget runs
+    out — uses the steps and gets the same [run] record. *)
+
+type cycle = {
+  machine : Xmtsim.Machine.t;
+  racedetect : Xmtsim.Racedetect.t option;  (** attached when race-checked *)
+  profiler : Xmtsim.Profile.t option;  (** attached when profiled *)
+  program : compiled;
+}
+
+(** Build the machine and attach the standard observers ({!run_cycle}'s
+    [racecheck], [profile] and [stream]). *)
+val start_cycle :
+  ?config:Xmtsim.Config.t ->
+  ?racecheck:bool ->
+  ?profile:bool ->
+  ?stream:Obs.Stream.t ->
+  ?heartbeat_cycles:int ->
+  compiled ->
+  cycle
+
+(** The [run] record of a finished machine run: stats, events and the
+    race and profile reports of the attached observers. *)
+val finish_cycle : cycle -> Xmtsim.Machine.result -> run
 
 (** Run in the fast functional (serializing) mode.  With [racecheck]
     the report carries the static layer only (no machine to observe). *)
@@ -110,9 +153,12 @@ val run_predict :
 
     A [job] reifies one compile+simulate as data: source, compiler
     options, simulator configuration, mode, memory map and an optional
-    per-job RNG seed.  The campaign engine ({!Campaign}), the benches
-    and [xmtsim_cli] all construct jobs and hand them to {!run_job};
-    {!exec} is a thin wrapper kept for existing callers. *)
+    per-job RNG seed.  The campaign engine ({!Campaign}) and the
+    benches construct jobs and hand them to {!run_job}; {!exec} is a
+    thin wrapper kept for existing callers.  The [xmtsim] CLI, which also
+    runs assembly input, builds one {!compiled} value and calls the
+    runner of its mode: {!run_functional}, {!run_predict}, or the cycle
+    steps above. *)
 
 type mode = Cycle | Functional | Predict
 

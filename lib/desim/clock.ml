@@ -6,7 +6,6 @@ type t = {
   mutable period : int;
   mutable cycles : int;
   mutable handlers : (int * handler) list; (* (phase, handler), sorted *)
-  mutable enabled : bool;
   mutable sleeping : bool;
   mutable started : bool;
   mutable tick_pending : bool; (* an event for our next tick is in the list *)
@@ -23,7 +22,6 @@ let create sched ~name ~period =
     period;
     cycles = 0;
     handlers = [];
-    enabled = true;
     sleeping = false;
     started = false;
     tick_pending = false;
@@ -68,12 +66,12 @@ let on_tick ?(phase = 0) t h =
   t.handlers <- insert t.handlers
 
 let rec schedule_tick t ~at_least =
-  if (not t.tick_pending) && t.enabled && not t.sleeping then begin
+  if (not t.tick_pending) && not t.sleeping then begin
     t.tick_pending <- true;
     let time = at_least in
     Scheduler.schedule_at t.sched ~prio:Scheduler.prio_tick ~time (fun () ->
         t.tick_pending <- false;
-        if t.enabled && not t.sleeping then begin
+        if not t.sleeping then begin
           let c = t.cycles in
           t.cycles <- c + 1;
           t.anchor <- Scheduler.now t.sched;
@@ -88,15 +86,6 @@ let start t =
     t.started <- true;
     t.anchor <- Scheduler.now t.sched;
     schedule_tick t ~at_least:(Scheduler.now t.sched)
-  end
-
-let enabled t = t.enabled
-let disable t = t.enabled <- false
-
-let enable t =
-  if not t.enabled then begin
-    t.enabled <- true;
-    if t.started then schedule_tick t ~at_least:(Scheduler.now t.sched + 1)
   end
 
 let sleep t = t.sleeping <- true

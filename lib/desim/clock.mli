@@ -5,9 +5,9 @@
     exactly the {e macro-actor} of §III-D: one scheduled event per cycle
     iterates all grouped components, instead of one event per component.
 
-    Clocks support the runtime-control features the paper exposes through
+    Clocks support the runtime-control feature the paper exposes through
     activity plug-ins: the period can be changed on the fly (DVFS, taking
-    effect at the next tick) and the clock can be disabled/enabled.
+    effect at the next tick).
 
     {b Clock gating} (§III-C: the discrete-event engine skips work for
     inactive components): a clock whose handlers all have nothing to do may
@@ -53,12 +53,8 @@ val on_tick : ?phase:int -> t -> handler -> unit
 (** Begin ticking.  Must be called once after handlers are registered. *)
 val start : t -> unit
 
-val enabled : t -> bool
-val disable : t -> unit
-val enable : t -> unit
-
-(** Stop scheduling ticks until [wake].  Unlike [disable], [wake] may be
-    called from any component (e.g. a package arriving at an idle cluster).
+(** Stop scheduling ticks until [wake], which may be called from any
+    component (e.g. a package arriving at an idle cluster).
     Sleeping while a tick event is already scheduled does not leak a tick:
     the pending event fires as a no-op (handlers do not run, [cycles] does
     not advance) and, if the clock woke up in the meantime, serves as the

@@ -65,7 +65,3 @@ let pop h =
 let min_time h = if h.len = 0 then None else Some h.arr.(0).time
 let size h = h.len
 let is_empty h = h.len = 0
-
-let clear h =
-  h.len <- 0;
-  h.arr <- [||]

@@ -23,4 +23,3 @@ val min_time : 'a t -> int option
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool
-val clear : 'a t -> unit

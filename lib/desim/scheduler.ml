@@ -1,5 +1,4 @@
 let prio_tick = 0
-let prio_negotiate = 10
 let prio_transfer = 20
 let prio_stop = 1000
 
@@ -42,19 +41,16 @@ let stop t ?time () =
          t.time);
   Event_heap.add t.events ~time ~prio:prio_stop (Stop t.stop_gen)
 
-type outcome = Stopped | Drained | Budget
+type outcome = Stopped | Drained
 
-let run ?max_events t =
-  let budget = ref (match max_events with Some n -> n | None -> max_int) in
+let run t =
   let rec loop () =
-    if !budget = 0 then Budget
-    else if Event_heap.is_empty t.events then Drained
+    if Event_heap.is_empty t.events then Drained
     else begin
       let time, prio, action = Event_heap.pop t.events in
       t.time <- time;
       t.cur_prio <- prio;
       t.processed <- t.processed + 1;
-      decr budget;
       match action with
       | Stop g when g = t.stop_gen -> Stopped
       | Stop _ -> loop () (* stale: armed for a run that already returned *)
@@ -68,9 +64,3 @@ let run ?max_events t =
   outcome
 
 let events_processed t = t.processed
-
-let reset ?(keep_counters = false) t =
-  Event_heap.clear t.events;
-  t.time <- 0;
-  t.stop_gen <- t.stop_gen + 1;
-  if not keep_counters then t.processed <- 0

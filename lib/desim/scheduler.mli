@@ -4,18 +4,15 @@
     loop repeatedly pops the earliest event, advances simulated time to the
     event's timestamp, and runs the event's action.  Unlike a discrete-time
     simulator, time jumps directly between event timestamps.  Simulation
-    terminates when a {e stop event} fires, when the event list drains, or
-    when an event budget is exhausted. *)
+    terminates when a {e stop event} fires or when the event list drains. *)
 
 type t
 
-(** Standard event priorities.  A clock cycle is split into two phases
-    (paper §III-C): components first {e negotiate} transfers, then packages
-    are {e moved}.  [prio_tick] fires before either so clocked state machines
-    observe a consistent pre-phase state. *)
+(** Standard event priorities.  [prio_tick] fires before package
+    transfers at the same instant, so clocked state machines observe a
+    consistent pre-transfer state. *)
 val prio_tick : int
 
-val prio_negotiate : int
 val prio_transfer : int
 val prio_stop : int
 
@@ -54,16 +51,11 @@ val stop : t -> ?time:int -> unit -> unit
 type outcome =
   | Stopped  (** a stop event fired *)
   | Drained  (** the event list became empty *)
-  | Budget  (** the [max_events] budget was exhausted *)
 
 (** Run the main loop.  Returns why the loop exited.  On return (for any
     outcome) all currently-armed stop events are invalidated; see
     {!stop}. *)
-val run : ?max_events:int -> t -> outcome
+val run : t -> outcome
 
 (** Number of events processed so far (monotonic across [run] calls). *)
 val events_processed : t -> int
-
-(** Drop all pending events and reset time to 0.  Event and time counters
-    are preserved only if [keep_counters] is set. *)
-val reset : ?keep_counters:bool -> t -> unit

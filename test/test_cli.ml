@@ -314,13 +314,15 @@ let connect_refused_exits_3 () =
       Tu.check_int "exit 3" 3 code;
       Tu.check_bool "mentions xmtserved" true (contains "xmtserved" err))
 
+(* an out-of-range store inside a spawn, at source line 4 *)
+let spawned_fault =
+  "int A[16];\nint main(void) {\n  spawn(0, 3) {\n    A[$ * 100000000] = 1;\n  }\n  return 0;\n}\n"
+
 (* an out-of-range store, serial and inside a spawn, in both modes: a
    diagnostic naming the TCU, pc and source line, exit 4, no crash *)
 let faults_are_diagnostics () =
   let serial = "int A[16];\nint main(void) {\n  A[100000000] = 1;\n  return 0;\n}\n"
-  and spawned =
-    "int A[16];\nint main(void) {\n  spawn(0, 3) {\n    A[$ * 100000000] = 1;\n  }\n  return 0;\n}\n"
-  in
+  and spawned = spawned_fault in
   List.iter
     (fun (src, line, mode, who) ->
       with_src ~src (fun path ->
@@ -331,6 +333,107 @@ let faults_are_diagnostics () =
             [ "xmtsim: simulation fault: " ^ who; ", pc "; Printf.sprintf "%s:%d)" path line ]))
     [ (serial, 3, [], "MTCU"); (serial, 3, [ "--functional" ], "MTCU");
       (spawned, 4, [], "TCU"); (spawned, 4, [ "--functional" ], "thread") ]
+
+(* ---- assembly input: the quickstart's xmtcc -> xmtsim route ---- *)
+
+let compact_src =
+  "int A[16] = {5, 0, 3, 0, 0, 7, 1, 0, 2, 0, 0, 4, 9, 0, 6, 0};\n\
+   int B[16];\n\
+   int base = 0;\n\
+   int main(void) {\n\
+  \  spawn(0, 15) {\n\
+  \    int inc = 1;\n\
+  \    if (A[$] != 0) { ps(inc, base); B[inc] = A[$]; }\n\
+  \  }\n\
+  \  print_int(base);\n\
+  \  return 0;\n\
+   }\n"
+
+(* compile [src] with xmtcc [flags] to a temporary .s; [f c s] gets both
+   paths *)
+let with_asm ?(flags = []) src f =
+  with_src ~src (fun c ->
+      let s = Filename.remove_extension c ^ ".s" in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists s then Sys.remove s)
+        (fun () ->
+          let code, _, err = run_cmd ([ xmtcc; c; "-o"; s ] @ flags) in
+          Tu.check_int ("xmtcc exits 0 " ^ err) 0 code;
+          f c s))
+
+let assembly_runs_like_source () =
+  with_asm compact_src (fun c s ->
+      List.iter
+        (fun mode ->
+          let ((code, out, _) as from_c) = run_cmd ([ xmtsim; c; "--stats" ] @ mode) in
+          Tu.check_int "exit 0" 0 code;
+          Tu.check_bool "prints the count" true (contains "8\n" out);
+          Tu.check_bool
+            ("same output from .s " ^ String.concat " " mode)
+            true
+            (run_cmd ([ xmtsim; s; "--stats" ] @ mode) = from_c))
+        [ []; [ "--functional" ] ])
+
+let assembly_fault_names_line_and_function () =
+  with_asm ~flags:[ "-g" ] spawned_fault (fun _ s ->
+      List.iter
+        (fun mode ->
+          let code, _, err = run_cmd ([ xmtsim; s ] @ mode) in
+          Tu.check_int "exit 4" 4 code;
+          Tu.check_bool ("debug-info location: " ^ err) true
+            (contains ", pc " err && contains "(line 4, in __outl_sp_" err))
+        [ []; [ "--functional" ] ])
+
+let assembly_racecheck_needs_cycle_mode () =
+  with_asm compact_src (fun _ s ->
+      let code, _, err = run_cmd [ xmtsim; s; "--racecheck"; "--functional" ] in
+      Tu.check_int "exit 2" 2 code;
+      Tu.check_bool "explains the static layer" true
+        (contains
+           "xmtsim: --racecheck on assembly input needs the cycle-accurate \
+            mode (the static layer analyzes XMTC source)"
+           err))
+
+(* ---- one path: the CLI's reports are the library runners' ---- *)
+
+(* JSON compared after one print/parse round trip on both sides *)
+let canon j = J.to_string (J.of_string (J.to_string j))
+
+let predict_export_is_run_predict () =
+  with_src (fun src ->
+      let code, out, _ =
+        run_cmd [ xmtsim; src; "--mode"; "predict"; "--export"; "predict=-" ]
+      in
+      Tu.check_int "exit 0" 0 code;
+      let run = Core.Toolchain.(run_predict (compile quiet_src)) in
+      Tu.check_string "same xmt.predict.v1 report"
+        (canon (Option.get run.Core.Toolchain.predict))
+        (canon (J.of_string out)))
+
+let races_export_is_run_cycle () =
+  let example =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name
+         (Filename.concat "examples" "racy_overlap.xmtc"))
+  in
+  let run =
+    Core.Toolchain.(
+      run_cycle ~racecheck:true
+        (compile (In_channel.with_open_bin example In_channel.input_all)))
+  in
+  let code, out, err =
+    run_cmd [ xmtsim; example; "--racecheck"; "--export"; "races=-" ]
+  in
+  Tu.check_int "exit 0" 0 code;
+  Tu.check_bool "reports the race" true (contains "unmediated" err);
+  (* stdout is the program's output line, then the report *)
+  let printed = run.Core.Toolchain.output ^ "\n" in
+  let n = String.length printed in
+  Tu.check_string "program output first" printed (String.sub out 0 n);
+  Tu.check_string "same xmt.races.v1 report"
+    (canon (Option.get run.Core.Toolchain.races))
+    (canon (J.of_string (String.sub out n (String.length out - n))))
 
 let () =
   Alcotest.run "cli"
@@ -344,6 +447,17 @@ let () =
           Tu.tc "functional stats export works" functional_stats_json_still_works;
         ] );
       ("faults", [ Tu.tc "simulation faults are diagnostics" faults_are_diagnostics ]);
+      ( "assembly",
+        [
+          Tu.tc ".s runs like its .c" assembly_runs_like_source;
+          Tu.tc "-g fault names line and function" assembly_fault_names_line_and_function;
+          Tu.tc "--racecheck --functional rejects .s" assembly_racecheck_needs_cycle_mode;
+        ] );
+      ( "one path",
+        [
+          Tu.tc "predict export is run_predict's" predict_export_is_run_predict;
+          Tu.tc "races export is run_cycle's" races_export_is_run_cycle;
+        ] );
       ( "export",
         [
           Tu.tc "--export stats=- to stdout" export_flag_to_stdout;

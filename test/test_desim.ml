@@ -66,13 +66,6 @@ let scheduler_stop_event () =
   Tu.check_int "only first ran" 1 !ran;
   Tu.check_int "stop time" 5 (D.Scheduler.now s)
 
-let scheduler_budget () =
-  let s = D.Scheduler.create () in
-  let rec reschedule () = D.Scheduler.schedule s ~delay:1 reschedule in
-  reschedule ();
-  let outcome = D.Scheduler.run ~max_events:50 s in
-  Tu.check_bool "budget" true (outcome = D.Scheduler.Budget)
-
 let scheduler_rejects_past () =
   let s = D.Scheduler.create () in
   D.Scheduler.schedule s ~delay:10 (fun () ->
@@ -168,20 +161,6 @@ let clock_dvfs () =
   ignore (D.Scheduler.run s);
   (* the new period takes effect after the tick at t=2 *)
   Alcotest.(check (list int)) "tick times" [ 0; 1; 2; 6; 10 ] (List.rev !times)
-
-let clock_gating () =
-  let s = D.Scheduler.create () in
-  let c = D.Clock.create s ~name:"clk" ~period:1 in
-  let n = ref 0 in
-  D.Clock.on_tick c (fun _ ->
-      incr n;
-      if !n = 3 then D.Clock.disable c);
-  D.Clock.start c;
-  D.Scheduler.schedule s ~delay:10 (fun () -> D.Clock.enable c);
-  D.Scheduler.stop s ~time:12 ();
-  ignore (D.Scheduler.run s);
-  (* 3 ticks, gap, then ticks at 11 and 12 *)
-  Tu.check_int "ticks" 5 !n
 
 let clock_sleep_wake () =
   let s = D.Scheduler.create () in
@@ -304,59 +283,6 @@ let clock_macro_actor_grouping () =
 
 (* ------------------------------------------------------------------ *)
 
-let port_fifo () =
-  let p = D.Port.create ~name:"p" ~capacity:2 in
-  Tu.check_bool "push1" true (D.Port.push p 1);
-  Tu.check_bool "push2" true (D.Port.push p 2);
-  Tu.check_bool "full" false (D.Port.push p 3);
-  Alcotest.(check (option int)) "peek" (Some 1) (D.Port.peek p);
-  Alcotest.(check (option int)) "pop" (Some 1) (D.Port.pop p);
-  Tu.check_bool "room again" true (D.Port.can_push p);
-  Tu.check_int "pushed total" 2 (D.Port.pushed_total p)
-
-let port_unbounded () =
-  let p = D.Port.create ~name:"p" ~capacity:0 in
-  for i = 1 to 1000 do
-    D.Port.push_exn p i
-  done;
-  Tu.check_int "length" 1000 (D.Port.length p);
-  Alcotest.(check (list int)) "drain prefix" [ 1; 2; 3 ]
-    (match D.Port.drain p with a :: b :: c :: _ -> [ a; b; c ] | _ -> [])
-
-(* ------------------------------------------------------------------ *)
-
-let checkpoint_roundtrip () =
-  let r = D.Checkpoint.create () in
-  let state = ref 42 in
-  D.Checkpoint.register r ~name:"counter" ~save:(fun () -> !state)
-    ~load:(fun v -> state := v);
-  let blob = D.Checkpoint.save r in
-  state := 0;
-  D.Checkpoint.restore r blob;
-  Tu.check_int "restored" 42 !state
-
-let checkpoint_file_roundtrip () =
-  let r = D.Checkpoint.create () in
-  let state = ref [ 1; 2; 3 ] in
-  D.Checkpoint.register r ~name:"list" ~save:(fun () -> !state)
-    ~load:(fun v -> state := v);
-  let blob = D.Checkpoint.save r in
-  let path = Filename.temp_file "ckpt" ".bin" in
-  D.Checkpoint.to_file blob path;
-  state := [];
-  D.Checkpoint.restore r (D.Checkpoint.of_file path);
-  Sys.remove path;
-  Alcotest.(check (list int)) "restored" [ 1; 2; 3 ] !state
-
-let checkpoint_duplicate_name () =
-  let r = D.Checkpoint.create () in
-  D.Checkpoint.register r ~name:"x" ~save:(fun () -> 0) ~load:(fun _ -> ());
-  Alcotest.check_raises "dup"
-    (Invalid_argument "Checkpoint.register: duplicate name \"x\"") (fun () ->
-      D.Checkpoint.register r ~name:"x" ~save:(fun () -> 0) ~load:(fun _ -> ()))
-
-(* ------------------------------------------------------------------ *)
-
 let rng_deterministic () =
   let a = D.Rng.create ~seed:7 and b = D.Rng.create ~seed:7 in
   for _ = 1 to 100 do
@@ -408,7 +334,6 @@ let () =
         [
           Tu.tc "time jumps" scheduler_time_jumps;
           Tu.tc "stop event" scheduler_stop_event;
-          Tu.tc "event budget" scheduler_budget;
           Tu.tc "rejects past" scheduler_rejects_past;
           Tu.tc "stale stop is a no-op" scheduler_stale_stop;
           Tu.tc "stop rejects past" scheduler_stop_rejects_past;
@@ -420,7 +345,6 @@ let () =
           Tu.tc "ticks" clock_ticks;
           Tu.tc "phase order" clock_phases_order;
           Tu.tc "dvfs" clock_dvfs;
-          Tu.tc "gating" clock_gating;
           Tu.tc "sleep/wake" clock_sleep_wake;
           Tu.tc "wake on grid (transfer prio)" clock_wake_grid_tiebreak;
           Tu.tc "wake on grid (tick prio)" clock_wake_grid_at_tick_prio;
@@ -428,14 +352,6 @@ let () =
           Tu.tc "set_period during sleep" clock_set_period_during_sleep;
           Tu.tc "skipped-tick estimate" clock_skipped_ticks_estimate;
           Tu.tc "macro-actor grouping" clock_macro_actor_grouping;
-        ] );
-      ( "port",
-        [ Tu.tc "fifo" port_fifo; Tu.tc "unbounded" port_unbounded ] );
-      ( "checkpoint",
-        [
-          Tu.tc "roundtrip" checkpoint_roundtrip;
-          Tu.tc "file roundtrip" checkpoint_file_roundtrip;
-          Tu.tc "duplicate name" checkpoint_duplicate_name;
         ] );
       ( "rng",
         [
